@@ -5,6 +5,8 @@
 // runs to fixpoint on the current graph. Graphs are symmetrized at ingest
 // (DESIGN.md §3.6). Throughput is logical edges per engine second, a
 // mode-independent work measure, so columns are directly comparable.
+// `logical(M)` is that work and `GT-hyb(s)` the hybrid run's engine seconds,
+// so throughput can be compared across engine versions whose work differs.
 //
 // Expected shapes (paper): GT-FP up to ~10x STINGER-FP; hybrid >= both pure
 // GT modes on every dataset; IP occasionally loses to FP (e.g. CC on
@@ -29,7 +31,7 @@ int run_analytics_figure(const std::string& figure,
 
     Table table({"dataset", "GT-FP(Meps)", "GT-IP(Meps)", "GT-hybrid(Meps)",
                  "GT-hybDeg(Meps)", "STINGER-FP(Meps)", "GTFP/ST",
-                 "hyb/best", "hybDeg/best"});
+                 "hyb/best", "hybDeg/best", "logical(M)", "GT-hyb(s)"});
     for (const DatasetSpec& spec : scaled_datasets()) {
         const auto edges = engine::symmetrize(spec.generate());
         const std::size_t batch = batch_size() * 2;  // symmetrized stream
@@ -58,7 +60,10 @@ int run_analytics_figure(const std::string& figure,
                        Table::fmt(h, 2), Table::fmt(hd, 2), Table::fmt(s, 2),
                        Table::fmt(s > 0 ? f / s : 0, 2) + "x",
                        Table::fmt(h / std::max(f, i), 2) + "x",
-                       Table::fmt(hd / std::max(f, i), 2) + "x"});
+                       Table::fmt(hd / std::max(f, i), 2) + "x",
+                       Table::fmt(static_cast<double>(hybrid.logical_edges) /
+                                      1e6, 2),
+                       Table::fmt(hybrid.seconds, 3)});
     }
     table.print(std::cout);
     return 0;

@@ -4,15 +4,15 @@
 // `process_edge` (scatter a message from a source property across an edge),
 // `reduce` (combine messages arriving at a vertex) and `apply` (commit the
 // reduced message into the vertex property, reporting whether the vertex
-// activates for the next iteration). It also defines the
-// set-inconsistency-vertices rule used after each batch update (paper
-// §IV.C): BFS/SSSP seed the batch's source endpoints, CC seeds both
-// endpoints.
+// activates for the next iteration).
 //
-// All three shipped algorithms are *monotone* (properties only decrease), so
-// incremental execution over an insert-only stream converges to the same
-// fixed point as a from-scratch run — the property the engine's tests check
-// against the static reference implementations.
+// BFS, SSSP and CC are *monotone* (properties only decrease), so after each
+// batch update the engine seeds from the batch's edges alone (DESIGN.md
+// §3.6), and incremental execution over an insert-only stream converges to
+// the same fixed point as a from-scratch run — the property the engine's
+// tests check against the static reference implementations. `reads_weight`
+// tells the seeding pass whether process_edge depends on the edge weight.
+// PageRank is not monotone and keeps a vertex-seeding rule, `seed_batch`.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +28,7 @@ namespace gt::engine {
 struct Bfs {
     using Property = std::uint32_t;
     static constexpr const char* name = "BFS";
+    static constexpr bool reads_weight = false;
     static constexpr bool needs_root = true;
 
     [[nodiscard]] Property initial(VertexId) const { return kInfDistance; }
@@ -54,19 +55,13 @@ struct Bfs {
         }
         return false;
     }
-
-    template <typename Activate>
-    void seed_batch(std::span<const Edge> batch, Activate&& activate) const {
-        for (const Edge& e : batch) {
-            activate(e.src);
-        }
-    }
 };
 
 /// Single-source shortest paths (non-negative weights): property = distance.
 struct Sssp {
     using Property = std::uint32_t;
     static constexpr const char* name = "SSSP";
+    static constexpr bool reads_weight = true;
     static constexpr bool needs_root = true;
 
     [[nodiscard]] Property initial(VertexId) const { return kInfDistance; }
@@ -94,13 +89,6 @@ struct Sssp {
         }
         return false;
     }
-
-    template <typename Activate>
-    void seed_batch(std::span<const Edge> batch, Activate&& activate) const {
-        for (const Edge& e : batch) {
-            activate(e.src);
-        }
-    }
 };
 
 /// Connected components via min-label propagation: property = component
@@ -110,6 +98,7 @@ struct Sssp {
 struct Cc {
     using Property = std::uint32_t;
     static constexpr const char* name = "CC";
+    static constexpr bool reads_weight = false;
     static constexpr bool needs_root = false;
 
     [[nodiscard]] Property initial(VertexId v) const { return v; }
@@ -130,15 +119,6 @@ struct Cc {
             return true;
         }
         return false;
-    }
-
-    /// CC's properties can change on both endpoints (paper §IV.C).
-    template <typename Activate>
-    void seed_batch(std::span<const Edge> batch, Activate&& activate) const {
-        for (const Edge& e : batch) {
-            activate(e.src);
-            activate(e.dst);
-        }
     }
 };
 
@@ -203,6 +183,9 @@ struct PageRank {
         return current.residual > tolerance;
     }
 
+    /// Set-inconsistency rule after a batch (paper §IV.C): activate both
+    /// endpoints. Approximate — out-degree changes break the push
+    /// invariant, so exact ranks need run_from_scratch (see above).
     template <typename Activate>
     void seed_batch(std::span<const Edge> batch, Activate&& activate) const {
         for (const Edge& e : batch) {

@@ -19,6 +19,14 @@
 // can drive it, so GraphTinker and the STINGER baseline are exercised by
 // byte-for-byte the same engine code.
 //
+// After a batch, the set-inconsistency step (paper §IV.C) is a seeding pass
+// over the batch's own edges rather than over the adjacency of its
+// endpoints: BFS, SSSP and CC are monotone under inserts, so before a batch
+// every vertex is at its fixpoint with respect to the old edges and a new
+// edge u->v can only improve v, through u's current property. The pass
+// scatters each batch edge once, applies the reduced messages, and hands the
+// improved vertices to the FP/IP loop (DESIGN.md §3.6).
+//
 // Telemetry goes through gt::obs: point EngineOptions::registry at a
 // MetricsRegistry and the engine appends one row per iteration to the
 // "engine.trace" series (mode, decision ratio, edges streamed/walked, wall
@@ -28,6 +36,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -35,6 +44,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/active_set.hpp"
+#include "util/hash.hpp"
 #include "util/timer.hpp"
 #include "util/types.hpp"
 
@@ -80,7 +90,9 @@ struct EngineOptions {
 /// `iteration` is a monotonically increasing sequence number across runs,
 /// `mode_full` is 1.0 for FP / 0.0 for IP, `ratio` is the value the
 /// inference unit compared against its threshold (A/E, or L/E for the
-/// degree-aware policy).
+/// degree-aware policy). The batch seeding pass reports as an IP row whose
+/// `active` is the number of batch edges and whose `ratio` is 0 (no
+/// decision is made for it).
 inline constexpr std::array<std::string_view, 7> kTraceFields = {
     "iteration",     "mode_full",     "active", "ratio",
     "edges_streamed", "logical_edges", "seconds"};
@@ -111,19 +123,25 @@ struct RunStats {
     }
 };
 
-/// A persistent dynamic analysis: vertex properties survive across batch
-/// updates so the incremental-compute model can refine the previous result
-/// instead of recomputing it (paper §II.B).
-template <typename Store, typename Alg>
-class DynamicAnalysis {
+/// Mode plus the ratio the inference unit compared (published to the
+/// "engine.trace" series so threshold crossings are visible post hoc).
+struct ModeDecision {
+    Mode mode;
+    double ratio;
+};
+
+/// State shared by the serial and the shard-parallel engine: vertex
+/// properties, the frontier, the pending messages of the iteration in
+/// flight, the registered roots and the telemetry handles. Both engines
+/// seed batches, commit iterations and publish trace rows through it.
+template <typename Alg>
+class EngineState {
 public:
     using Property = typename Alg::Property;
 
-    explicit DynamicAnalysis(const Store& store, EngineOptions opts = {},
-                             Alg alg = {})
-        : store_(store), opts_(opts), alg_(alg) {
-        if (opts_.registry != nullptr) {
-            obs::Registry& r = *opts_.registry;
+    EngineState(Alg algorithm, obs::Registry* registry) : alg(algorithm) {
+        if (registry != nullptr) {
+            obs::Registry& r = *registry;
             trace_ = &r.series("engine.trace",
                                {kTraceFields.begin(), kTraceFields.end()});
             iterations_m_ = &r.counter("engine.iterations");
@@ -134,201 +152,142 @@ public:
         }
     }
 
-    /// Registers the analysis root (BFS/SSSP); its property becomes 0 and it
-    /// seeds from-scratch runs. May be called before the vertex exists.
     void set_root(VertexId root) {
         roots_.push_back(root);
         grow(root + 1);
-        props_[root] = Property{0};
-        active_.insert(root);
+        props[root] = Property{0};
+        active.insert(root);
     }
 
-    /// Set-Inconsistency-Vertices unit + run to fixpoint. Call *after* the
-    /// store ingested `batch`.
-    RunStats on_batch(std::span<const Edge> batch) {
-        grow(static_cast<VertexId>(store_.num_vertices()));
-        alg_.seed_batch(batch, [&](VertexId v) { active_.insert(v); });
-        return run();
-    }
-
-    /// Store-and-static-compute model: discard prior state and recompute the
-    /// whole analysis on the graph as it currently stands.
-    RunStats run_from_scratch() {
-        reset();
-        return run();
-    }
-
-    /// Re-seeds without discarding properties (useful after manual edits).
-    RunStats run_to_fixpoint() { return run(); }
-
-    [[nodiscard]] const std::vector<Property>& properties() const noexcept {
-        return props_;
-    }
-    [[nodiscard]] Property property(VertexId v) const {
-        return v < props_.size() ? props_[v] : alg_.initial(v);
-    }
-    [[nodiscard]] const Alg& algorithm() const noexcept { return alg_; }
-    [[nodiscard]] const EngineOptions& options() const noexcept {
-        return opts_;
-    }
-
-private:
     void grow(VertexId bound) {
-        const auto old = static_cast<VertexId>(props_.size());
+        const auto old = static_cast<VertexId>(props.size());
         if (bound <= old) {
             return;
         }
-        props_.resize(bound);
-        temp_.resize(bound);
+        props.resize(bound);
+        temp.resize(bound);
         for (VertexId v = old; v < bound; ++v) {
-            props_[v] = alg_.initial(v);
+            props[v] = alg.initial(v);
         }
-        active_.resize(bound);
-        next_.resize(bound);
-        touched_.resize(bound);
+        active.resize(bound);
+        next.resize(bound);
+        touched.resize(bound);
     }
 
-    void reset() {
-        active_.clear();
-        next_.clear();
-        touched_.clear();
-        const auto bound = static_cast<VertexId>(store_.num_vertices());
-        props_.clear();
+    /// Discards every property and seeds a from-scratch run over `bound`
+    /// vertices: the roots, or every vertex for label propagation.
+    void reset(VertexId bound) {
+        active.clear();
+        next.clear();
+        touched.clear();
+        props.clear();
         grow(bound);
         if constexpr (Alg::needs_root) {
             for (VertexId root : roots_) {
                 grow(root + 1);
-                props_[root] = Property{0};
-                active_.insert(root);
+                props[root] = Property{0};
+                active.insert(root);
             }
         } else {
-            // Label-propagation style: every vertex starts active owning its
-            // initial label.
             for (VertexId v = 0; v < bound; ++v) {
-                active_.insert(v);
+                active.insert(v);
             }
         }
     }
 
-    /// Mode plus the ratio the inference unit compared (published to the
-    /// "engine.trace" series so threshold crossings are visible post hoc).
-    struct ModeDecision {
-        Mode mode;
-        double ratio;
-    };
-
-    /// The inference-box decision for the upcoming iteration (paper §IV.B).
-    [[nodiscard]] ModeDecision decide_mode() const {
-        const double edges =
-            static_cast<double>(std::max<EdgeCount>(store_.num_edges(), 1));
-        const double a_over_e = static_cast<double>(active_.size()) / edges;
-        switch (opts_.policy) {
-            case ModePolicy::ForceFull:
-                return {Mode::Full, a_over_e};
-            case ModePolicy::ForceIncremental:
-                return {Mode::Incremental, a_over_e};
-            case ModePolicy::Hybrid:
-                return {a_over_e > opts_.threshold ? Mode::Full
-                                                   : Mode::Incremental,
-                        a_over_e};
-            case ModePolicy::HybridDegreeAware:
-                break;
-        }
-        std::uint64_t walk = 0;  // edges an IP iteration would traverse
-        for (VertexId u : active_.vertices()) {
-            walk += store_.degree(u);
-        }
-        const double t = static_cast<double>(walk) / edges;
-        return {t > opts_.degree_threshold ? Mode::Full : Mode::Incremental,
-                t};
+    [[nodiscard]] Property property(VertexId v) const {
+        return v < props.size() ? props[v] : alg.initial(v);
     }
 
-    void scatter_to(VertexId dst, Property msg) {
-        if (dst >= temp_.size()) {
+    /// Reduces `msg` into dst's pending message.
+    void scatter(VertexId dst, Property msg) {
+        if (dst >= temp.size()) {
             grow(dst + 1);
         }
-        if (touched_.insert(dst)) {
-            temp_[dst] = msg;
+        if (touched.insert(dst)) {
+            temp[dst] = msg;
         } else {
-            temp_[dst] = alg_.reduce(temp_[dst], msg);
+            temp[dst] = alg.reduce(temp[dst], msg);
         }
     }
 
-    RunStats run() {
+    /// The set-inconsistency step after `batch` (paper §IV.C): one pass
+    /// that scatters every batch edge from its source's current property
+    /// and applies the result into the frontier, next to whatever is
+    /// already active (a root registered before its first edge). Returns
+    /// the pass as one IP iteration; an empty batch is no iteration.
+    /// Algorithms whose invariant is not monotone (PageRank) define
+    /// `seed_batch` and activate vertices instead.
+    RunStats seed(std::span<const Edge> batch) {
         RunStats stats;
-        while (!active_.empty()) {
+        if constexpr (requires { alg.seed_batch(batch, [](VertexId) {}); }) {
+            alg.seed_batch(batch, [&](VertexId v) { active.insert(v); });
+        } else if (!batch.empty()) {
             Timer timer;
-            const ModeDecision decision = decide_mode();
-            const Mode mode = decision.mode;
-            const std::size_t processed = active_.size();
-            std::uint64_t streamed = 0;
-            std::uint64_t logical = 0;
-            touched_.clear();
-
-            // --- processing phase (scatter + reduce) --------------------
-            if (mode == Mode::Incremental) {
-                for (VertexId u : active_.vertices()) {
-                    const Property up = props_[u];
-                    store_.visit_out_edges(u, [&](VertexId v, Weight w) {
-                        ++streamed;
-                        if (const auto msg = alg_.process_edge(u, up, w)) {
-                            scatter_to(v, *msg);
-                        }
-                    });
+            touched.clear();
+            const auto seed_edge = [&](const Edge& e) {
+                grow(std::max(e.src, e.dst) + 1);
+                if (const auto msg =
+                        alg.process_edge(e.src, props[e.src], e.weight)) {
+                    scatter(e.dst, *msg);
                 }
-                logical = streamed;
-            } else {
-                store_.visit_edges([&](VertexId u, VertexId v, Weight w) {
-                    ++streamed;
-                    if (active_.contains(u)) {
-                        if (const auto msg =
-                                alg_.process_edge(u, props_[u], w)) {
-                            scatter_to(v, *msg);
-                        }
+            };
+            if constexpr (Alg::reads_weight) {
+                // The store keeps the last weight of a pair repeated within
+                // a batch, so only a pair's last occurrence is seeded.
+                seen_.assign(std::bit_ceil(batch.size() * 2), kNoPair);
+                for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+                    if (first_sighting((static_cast<std::uint64_t>(it->src)
+                                        << 32) |
+                                       it->dst)) {
+                        seed_edge(*it);
                     }
-                });
-                for (VertexId u : active_.vertices()) {
-                    logical += store_.degree(u);
                 }
-            }
-
-            // Post-scatter hook: algorithms like forward-push PageRank fold
-            // the mass they just pushed into their own committed state.
-            if constexpr (requires(Alg a, Property& prop) {
-                              a.on_scattered(prop);
-                          }) {
-                for (VertexId u : active_.vertices()) {
-                    alg_.on_scattered(props_[u]);
-                }
-            }
-
-            // --- apply phase (commit + next frontier) --------------------
-            next_.clear();
-            for (VertexId v : touched_.vertices()) {
-                if (alg_.apply(props_[v], temp_[v])) {
-                    next_.insert(v);
-                }
-            }
-            active_.swap(next_);
-
-            const double secs = timer.seconds();
-            ++stats.iterations;
-            if (mode == Mode::Full) {
-                ++stats.full_iterations;
             } else {
-                ++stats.incremental_iterations;
+                for (const Edge& e : batch) {
+                    seed_edge(e);
+                }
             }
-            stats.edges_streamed += streamed;
-            stats.logical_edges += logical;
-            stats.seconds += secs;
-            publish_iteration(decision, processed, streamed, logical, secs);
+            for (VertexId v : touched.vertices()) {
+                if (alg.apply(props[v], temp[v])) {
+                    active.insert(v);
+                }
+            }
+            record(stats, {Mode::Incremental, 0.0}, batch.size(),
+                   batch.size(), batch.size(), timer.seconds());
         }
         return stats;
     }
 
-    void publish_iteration(ModeDecision decision, std::size_t processed,
-                           std::uint64_t streamed, std::uint64_t logical,
-                           double secs) {
+    /// Ends an iteration's scatter: runs the post-scatter hook, commits the
+    /// pending messages, and makes the improved vertices the frontier.
+    void commit() {
+        // Algorithms like forward-push PageRank fold the mass they just
+        // pushed into their own committed state.
+        if constexpr (requires(Property& p) { alg.on_scattered(p); }) {
+            for (VertexId u : active.vertices()) {
+                alg.on_scattered(props[u]);
+            }
+        }
+        next.clear();
+        for (VertexId v : touched.vertices()) {
+            if (alg.apply(props[v], temp[v])) {
+                next.insert(v);
+            }
+        }
+        active.swap(next);
+    }
+
+    /// Counts one finished iteration into `stats` and, with a registry,
+    /// into the "engine.*" counters and one "engine.trace" row.
+    void record(RunStats& stats, ModeDecision decision, std::size_t processed,
+                std::uint64_t streamed, std::uint64_t logical, double secs) {
+        ++stats.iterations;
+        ++(decision.mode == Mode::Full ? stats.full_iterations
+                                       : stats.incremental_iterations);
+        stats.edges_streamed += streamed;
+        stats.logical_edges += logical;
+        stats.seconds += secs;
         if (trace_ == nullptr) {
             return;
         }
@@ -346,11 +305,38 @@ private:
         trace_->append(row);
     }
 
-    const Store& store_;
-    EngineOptions opts_;
-    Alg alg_;
-    // Telemetry handles, resolved once in the constructor; all null when
-    // EngineOptions::registry is null (trace_ doubles as the gate).
+    Alg alg;
+    std::vector<Property> props;
+    std::vector<Property> temp;  // pending message of each touched vertex
+    ActiveSet active;
+    ActiveSet next;
+    ActiveSet touched;
+
+private:
+    // kInvalidVertex endpoints never reach a store, so this is no real pair.
+    static constexpr std::uint64_t kNoPair = ~std::uint64_t{0};
+
+    /// Inserts `pair` into the open-addressing set `seen_` (at most half
+    /// full); true when it was not there yet. Flat and reused across
+    /// batches so it stays in cache: a RobinHoodMap built per batch cost
+    /// ~80 ns per batch edge (4-vCPU x86 VM, 31 k-edge batches).
+    bool first_sighting(std::uint64_t pair) {
+        const std::size_t mask = seen_.size() - 1;
+        for (std::size_t i = mix64(pair) & mask;; i = (i + 1) & mask) {
+            if (seen_[i] == kNoPair) {
+                seen_[i] = pair;
+                return true;
+            }
+            if (seen_[i] == pair) {
+                return false;
+            }
+        }
+    }
+
+    std::vector<std::uint64_t> seen_;  // batch pairs already seeded
+    std::vector<VertexId> roots_;
+    // Telemetry handles, resolved once in the constructor; all null without
+    // a registry (trace_ doubles as the gate).
     obs::Series* trace_ = nullptr;
     obs::Counter* iterations_m_ = nullptr;
     obs::Counter* full_m_ = nullptr;
@@ -358,12 +344,129 @@ private:
     obs::Counter* streamed_m_ = nullptr;
     obs::Counter* logical_m_ = nullptr;
     std::uint64_t iteration_seq_ = 0;  // trace row ids, monotone across runs
-    std::vector<Property> props_;
-    std::vector<Property> temp_;
-    ActiveSet active_;
-    ActiveSet next_;
-    ActiveSet touched_;
-    std::vector<VertexId> roots_;
+};
+
+/// A persistent dynamic analysis: vertex properties survive across batch
+/// updates so the incremental-compute model can refine the previous result
+/// instead of recomputing it (paper §II.B).
+template <typename Store, typename Alg>
+class DynamicAnalysis {
+public:
+    using Property = typename Alg::Property;
+
+    explicit DynamicAnalysis(const Store& store, EngineOptions opts = {},
+                             Alg alg = {})
+        : store_(store), opts_(opts), st_(alg, opts.registry) {}
+
+    /// Registers the analysis root (BFS/SSSP); its property becomes 0 and it
+    /// seeds from-scratch runs. May be called before the vertex exists.
+    void set_root(VertexId root) { st_.set_root(root); }
+
+    /// Batch seeding pass + run to fixpoint. Call *after* the store
+    /// ingested `batch`.
+    RunStats on_batch(std::span<const Edge> batch) {
+        st_.grow(static_cast<VertexId>(store_.num_vertices()));
+        RunStats stats = st_.seed(batch);
+        stats.accumulate(run());
+        return stats;
+    }
+
+    /// Store-and-static-compute model: discard prior state and recompute the
+    /// whole analysis on the graph as it currently stands.
+    RunStats run_from_scratch() {
+        st_.reset(static_cast<VertexId>(store_.num_vertices()));
+        return run();
+    }
+
+    /// Re-seeds without discarding properties (useful after manual edits).
+    RunStats run_to_fixpoint() { return run(); }
+
+    [[nodiscard]] const std::vector<Property>& properties() const noexcept {
+        return st_.props;
+    }
+    [[nodiscard]] Property property(VertexId v) const {
+        return st_.property(v);
+    }
+    [[nodiscard]] const Alg& algorithm() const noexcept { return st_.alg; }
+    [[nodiscard]] const EngineOptions& options() const noexcept {
+        return opts_;
+    }
+
+private:
+    /// The inference-box decision for the upcoming iteration (paper §IV.B).
+    [[nodiscard]] ModeDecision decide_mode() const {
+        const double edges =
+            static_cast<double>(std::max<EdgeCount>(store_.num_edges(), 1));
+        const double a_over_e = static_cast<double>(st_.active.size()) / edges;
+        switch (opts_.policy) {
+            case ModePolicy::ForceFull:
+                return {Mode::Full, a_over_e};
+            case ModePolicy::ForceIncremental:
+                return {Mode::Incremental, a_over_e};
+            case ModePolicy::Hybrid:
+                return {a_over_e > opts_.threshold ? Mode::Full
+                                                   : Mode::Incremental,
+                        a_over_e};
+            case ModePolicy::HybridDegreeAware:
+                break;
+        }
+        std::uint64_t walk = 0;  // edges an IP iteration would traverse
+        for (VertexId u : st_.active.vertices()) {
+            walk += store_.degree(u);
+        }
+        const double t = static_cast<double>(walk) / edges;
+        return {t > opts_.degree_threshold ? Mode::Full : Mode::Incremental,
+                t};
+    }
+
+    RunStats run() {
+        RunStats stats;
+        while (!st_.active.empty()) {
+            Timer timer;
+            const ModeDecision decision = decide_mode();
+            const std::size_t processed = st_.active.size();
+            std::uint64_t streamed = 0;
+            std::uint64_t logical = 0;
+            st_.touched.clear();
+
+            // --- processing phase (scatter + reduce) --------------------
+            if (decision.mode == Mode::Incremental) {
+                for (VertexId u : st_.active.vertices()) {
+                    const Property up = st_.props[u];
+                    store_.visit_out_edges(u, [&](VertexId v, Weight w) {
+                        ++streamed;
+                        if (const auto msg = st_.alg.process_edge(u, up, w)) {
+                            st_.scatter(v, *msg);
+                        }
+                    });
+                }
+                logical = streamed;
+            } else {
+                store_.visit_edges([&](VertexId u, VertexId v, Weight w) {
+                    ++streamed;
+                    if (st_.active.contains(u)) {
+                        if (const auto msg =
+                                st_.alg.process_edge(u, st_.props[u], w)) {
+                            st_.scatter(v, *msg);
+                        }
+                    }
+                });
+                for (VertexId u : st_.active.vertices()) {
+                    logical += store_.degree(u);
+                }
+            }
+
+            // --- apply phase (commit + next frontier) --------------------
+            st_.commit();
+            st_.record(stats, decision, processed, streamed, logical,
+                       timer.seconds());
+        }
+        return stats;
+    }
+
+    const Store& store_;
+    EngineOptions opts_;
+    EngineState<Alg> st_;
 };
 
 }  // namespace gt::engine

@@ -11,6 +11,10 @@
 // Modes mirror the serial hybrid engine: full processing streams each
 // shard's compact CAL; incremental processing walks the out-edges of the
 // active vertices owned by each shard.
+//
+// Batch seeding, the apply phase and telemetry are the serial engine's own
+// (EngineState in hybrid_engine.hpp), so both engines seed a batch the same
+// way and publish the same "engine.trace" rows.
 #pragma once
 
 #include <cstdint>
@@ -36,41 +40,26 @@ public:
                                      EngineOptions opts = {}, Alg alg = {})
         : store_(store),
           opts_(opts),
-          alg_(alg),
+          st_(alg, opts.registry),
           pool_(store.num_shards()),
-          locals_(store.num_shards()) {
-        if (opts_.registry != nullptr) {
-            obs::Registry& r = *opts_.registry;
-            trace_ = &r.series("engine.trace",
-                               {kTraceFields.begin(), kTraceFields.end()});
-            iterations_m_ = &r.counter("engine.iterations");
-            full_m_ = &r.counter("engine.full_iterations");
-            incremental_m_ = &r.counter("engine.incremental_iterations");
-            streamed_m_ = &r.counter("engine.edges_streamed");
-            logical_m_ = &r.counter("engine.logical_edges");
-        }
-    }
+          locals_(store.num_shards()) {}
 
-    void set_root(VertexId root) {
-        roots_.push_back(root);
-        grow(root + 1);
-        props_[root] = Property{0};
-        active_.insert(root);
-    }
+    void set_root(VertexId root) { st_.set_root(root); }
 
     RunStats on_batch(std::span<const Edge> batch) {
-        grow(bound_from_store());
-        alg_.seed_batch(batch, [&](VertexId v) { active_.insert(v); });
-        return run();
+        st_.grow(bound_from_store());
+        RunStats stats = st_.seed(batch);
+        stats.accumulate(run());
+        return stats;
     }
 
     RunStats run_from_scratch() {
-        reset();
+        st_.reset(bound_from_store());
         return run();
     }
 
     [[nodiscard]] Property property(VertexId v) const {
-        return v < props_.size() ? props_[v] : alg_.initial(v);
+        return st_.property(v);
     }
     [[nodiscard]] std::size_t num_workers() const noexcept {
         return pool_.size();
@@ -96,55 +85,10 @@ private:
         return store_.num_edges();
     }
 
-    void grow(VertexId bound) {
-        const auto old = static_cast<VertexId>(props_.size());
-        if (bound <= old) {
-            return;
-        }
-        props_.resize(bound);
-        temp_.resize(bound);
-        for (VertexId v = old; v < bound; ++v) {
-            props_[v] = alg_.initial(v);
-        }
-        active_.resize(bound);
-        next_.resize(bound);
-        touched_.resize(bound);
-        for (Local& local : locals_) {
-            local.temp.resize(bound);
-            local.touched.resize(bound);
-        }
-    }
-
-    void reset() {
-        active_.clear();
-        next_.clear();
-        touched_.clear();
-        props_.clear();
-        grow(bound_from_store());
-        if constexpr (Alg::needs_root) {
-            for (VertexId root : roots_) {
-                grow(root + 1);
-                props_[root] = Property{0};
-                active_.insert(root);
-            }
-        } else {
-            const auto bound = static_cast<VertexId>(props_.size());
-            for (VertexId v = 0; v < bound; ++v) {
-                active_.insert(v);
-            }
-        }
-    }
-
-    /// Mode plus the compared A/E ratio (see hybrid_engine.hpp).
-    struct ModeDecision {
-        Mode mode;
-        double ratio;
-    };
-
     [[nodiscard]] ModeDecision decide_mode() const {
         const double edges = static_cast<double>(
             std::max<EdgeCount>(total_edges(), 1));
-        const double t = static_cast<double>(active_.size()) / edges;
+        const double t = static_cast<double>(st_.active.size()) / edges;
         switch (opts_.policy) {
             case ModePolicy::ForceFull:
                 return {Mode::Full, t};
@@ -158,20 +102,23 @@ private:
 
     RunStats run() {
         RunStats stats;
+        for (Local& local : locals_) {
+            local.temp.resize(st_.props.size());
+        }
         // Active vertices grouped by owning shard (incremental mode).
         std::vector<std::vector<VertexId>> by_shard(store_.num_shards());
-        while (!active_.empty()) {
+        while (!st_.active.empty()) {
             Timer timer;
             const ModeDecision decision = decide_mode();
             const Mode mode = decision.mode;
-            const std::size_t processed = active_.size();
+            const std::size_t processed = st_.active.size();
 
             // --- parallel scatter phase ------------------------------
             if (mode == Mode::Incremental) {
                 for (auto& bucket : by_shard) {
                     bucket.clear();
                 }
-                for (VertexId u : active_.vertices()) {
+                for (VertexId u : st_.active.vertices()) {
                     by_shard[Sharded::shard_of(u, store_.num_shards())]
                         .push_back(u);
                 }
@@ -182,12 +129,12 @@ private:
                 local.streamed = 0;
                 auto scatter = [&](VertexId u, VertexId v, Weight w) {
                     if (const auto msg =
-                            alg_.process_edge(u, props_[u], w)) {
+                            st_.alg.process_edge(u, st_.props[u], w)) {
                         if (local.touched.insert(v)) {
                             local.temp[v] = *msg;
                         } else {
                             local.temp[v] =
-                                alg_.reduce(local.temp[v], *msg);
+                                st_.alg.reduce(local.temp[v], *msg);
                         }
                     }
                 };
@@ -203,7 +150,7 @@ private:
                     store_.shard(s).visit_edges(
                         [&](VertexId u, VertexId v, Weight w) {
                             ++local.streamed;
-                            if (active_.contains(u)) {
+                            if (st_.active.contains(u)) {
                                 scatter(u, v, w);
                             }
                         });
@@ -211,16 +158,12 @@ private:
             });
 
             // --- merge worker buffers (serial, associative reduce) ----
-            touched_.clear();
+            st_.touched.clear();
             std::uint64_t streamed = 0;
             for (Local& local : locals_) {
                 streamed += local.streamed;
                 for (VertexId v : local.touched.vertices()) {
-                    if (touched_.insert(v)) {
-                        temp_[v] = local.temp[v];
-                    } else {
-                        temp_[v] = alg_.reduce(temp_[v], local.temp[v]);
-                    }
+                    st_.scatter(v, local.temp[v]);
                 }
             }
 
@@ -228,7 +171,7 @@ private:
             if (mode == Mode::Incremental) {
                 logical = streamed;
             } else {
-                for (VertexId u : active_.vertices()) {
+                for (VertexId u : st_.active.vertices()) {
                     logical += store_
                                    .shard(Sharded::shard_of(
                                        u, store_.num_shards()))
@@ -237,70 +180,18 @@ private:
             }
 
             // --- post-scatter hook + apply phase ----------------------
-            if constexpr (requires(Alg a, Property& p) {
-                              a.on_scattered(p);
-                          }) {
-                for (VertexId u : active_.vertices()) {
-                    alg_.on_scattered(props_[u]);
-                }
-            }
-            next_.clear();
-            for (VertexId v : touched_.vertices()) {
-                if (alg_.apply(props_[v], temp_[v])) {
-                    next_.insert(v);
-                }
-            }
-            active_.swap(next_);
-
-            ++stats.iterations;
-            if (mode == Mode::Full) {
-                ++stats.full_iterations;
-            } else {
-                ++stats.incremental_iterations;
-            }
-            const double secs = timer.seconds();
-            stats.edges_streamed += streamed;
-            stats.logical_edges += logical;
-            stats.seconds += secs;
-            if (trace_ != nullptr) {
-                iterations_m_->inc();
-                (mode == Mode::Full ? full_m_ : incremental_m_)->inc();
-                streamed_m_->add(streamed);
-                logical_m_->add(logical);
-                const double row[] = {
-                    static_cast<double>(++iteration_seq_),
-                    mode == Mode::Full ? 1.0 : 0.0,
-                    static_cast<double>(processed),
-                    decision.ratio,
-                    static_cast<double>(streamed),
-                    static_cast<double>(logical),
-                    secs};
-                trace_->append(row);
-            }
+            st_.commit();
+            st_.record(stats, decision, processed, streamed, logical,
+                       timer.seconds());
         }
         return stats;
     }
 
     const Sharded& store_;
     EngineOptions opts_;
-    Alg alg_;
-    // Telemetry handles (null without EngineOptions::registry); rows land
-    // in the same "engine.trace" schema the serial engine publishes.
-    obs::Series* trace_ = nullptr;
-    obs::Counter* iterations_m_ = nullptr;
-    obs::Counter* full_m_ = nullptr;
-    obs::Counter* incremental_m_ = nullptr;
-    obs::Counter* streamed_m_ = nullptr;
-    obs::Counter* logical_m_ = nullptr;
-    std::uint64_t iteration_seq_ = 0;
+    EngineState<Alg> st_;
     ThreadPool pool_;
-    std::vector<Property> props_;
-    std::vector<Property> temp_;
-    ActiveSet active_;
-    ActiveSet next_;
-    ActiveSet touched_;
     std::vector<Local> locals_;
-    std::vector<VertexId> roots_;
 };
 
 }  // namespace gt::engine

@@ -37,8 +37,12 @@ TEST(ParallelEngineStress, IncrementalBfsStaysBitEqualUnderManyBatches) {
         const auto batch = batches.batch(b);
         (void)sharded.insert_batch(batch);
         (void)serial.insert_batch(batch);
-        par.on_batch(batch);
-        ser.on_batch(batch);
+        const RunStats par_stats = par.on_batch(batch);
+        const RunStats ser_stats = ser.on_batch(batch);
+        // One seeding path: the same pass, then the same iterations.
+        EXPECT_EQ(par_stats.iterations, ser_stats.iterations) << b;
+        EXPECT_EQ(par_stats.edges_streamed, ser_stats.edges_streamed) << b;
+        EXPECT_EQ(par_stats.logical_edges, ser_stats.logical_edges) << b;
         for (VertexId v = 0; v < serial.num_vertices(); ++v) {
             ASSERT_EQ(par.property(v), ser.property(v))
                 << "batch " << b << " vertex " << v;
@@ -48,6 +52,40 @@ TEST(ParallelEngineStress, IncrementalBfsStaysBitEqualUnderManyBatches) {
     for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
         EXPECT_TRUE(core::Auditor::run(sharded.shard(s)).ok())
             << "shard " << s;
+    }
+}
+
+TEST(ParallelEngineStress, SeededSsspStaysBitEqualWithRepeatedPairs) {
+    // Every batch repeats some of its own pairs with fresh weights, and new
+    // vertex ids keep appearing above the previous bound.
+    const auto edges = symmetrize(rmat_edges(400, 6000, 67));
+    core::ShardedStore<core::GraphTinker> sharded(4, [] {
+        return core::Config{};
+    });
+    core::GraphTinker serial;
+    ParallelDynamicAnalysis<core::GraphTinker, Sssp> par(sharded);
+    DynamicAnalysis<core::GraphTinker, Sssp> ser(serial);
+    par.set_root(0);
+    ser.set_root(0);
+
+    EdgeBatcher batches(edges, 300);
+    for (std::size_t b = 0; b < batches.num_batches(); ++b) {
+        const auto slice = batches.batch(b);
+        std::vector<Edge> batch(slice.begin(), slice.end());
+        for (std::size_t i = 0; i < slice.size(); i += 4) {
+            const Edge& e = slice[i];
+            batch.push_back(Edge{e.src, e.dst, 1 + (e.weight * 7) % 90});
+        }
+        (void)sharded.insert_batch(batch);
+        (void)serial.insert_batch(batch);
+        const RunStats par_stats = par.on_batch(batch);
+        const RunStats ser_stats = ser.on_batch(batch);
+        EXPECT_EQ(par_stats.iterations, ser_stats.iterations) << b;
+        EXPECT_EQ(par_stats.edges_streamed, ser_stats.edges_streamed) << b;
+        for (VertexId v = 0; v < serial.num_vertices(); ++v) {
+            ASSERT_EQ(par.property(v), ser.property(v))
+                << "batch " << b << " vertex " << v;
+        }
     }
 }
 

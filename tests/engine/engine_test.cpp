@@ -126,7 +126,13 @@ TEST(Engine, RegistryTraceAccountingAddsUp) {
     DynamicAnalysis<core::GraphTinker, Bfs> bfs(
         g, EngineOptions{.registry = &g.obs()});
     bfs.set_root(0);
-    const auto stats = bfs.run_from_scratch();
+    auto stats = bfs.run_from_scratch();
+    const std::size_t scratch_rows = stats.iterations;
+    // A batch adds the seeding pass's row, then the iterations it caused.
+    const std::vector<Edge> batch{{0, 150, 1}, {150, 151, 1}, {7, 0, 1}};
+    (void)g.insert_batch(batch);
+    stats.accumulate(bfs.on_batch(batch));
+    ASSERT_GT(stats.iterations, scratch_rows + 1);
     const auto snap = g.obs().snapshot();
     const auto* trace = snap.find_series("engine.trace");
     ASSERT_NE(trace, nullptr);
@@ -135,10 +141,18 @@ TEST(Engine, RegistryTraceAccountingAddsUp) {
     std::uint64_t streamed = 0;
     std::uint64_t logical = 0;
     std::size_t full = 0;
-    for (const auto& row : trace->rows) {
+    for (std::size_t i = 0; i < trace->rows.size(); ++i) {
+        const auto& row = trace->rows[i];
         full += row[1] == 1.0 ? 1 : 0;      // mode_full
         EXPECT_GT(row[2], 0.0);             // active vertices
-        EXPECT_GT(row[3], 0.0);             // decision ratio A/E
+        if (i == scratch_rows) {            // the seeding pass
+            EXPECT_EQ(row[1], 0.0);
+            EXPECT_EQ(row[2], static_cast<double>(batch.size()));
+            EXPECT_EQ(row[3], 0.0);         // no decision made
+            EXPECT_EQ(row[4], static_cast<double>(batch.size()));
+        } else {
+            EXPECT_GT(row[3], 0.0);         // decision ratio A/E
+        }
         streamed += static_cast<std::uint64_t>(row[4]);
         logical += static_cast<std::uint64_t>(row[5]);
     }
@@ -151,6 +165,10 @@ TEST(Engine, RegistryTraceAccountingAddsUp) {
               stats.edges_streamed);
     EXPECT_EQ(snap.counter_value("engine.full_iterations"),
               stats.full_iterations);
+    EXPECT_EQ(snap.counter_value("engine.incremental_iterations"),
+              stats.incremental_iterations);
+    EXPECT_EQ(snap.counter_value("engine.logical_edges"),
+              stats.logical_edges);
 }
 
 TEST(Engine, RootMayPredateItsVertex) {

@@ -15,6 +15,16 @@
 namespace gt::engine {
 namespace {
 
+/// Both engines seed a batch through the same pass and decide modes by the
+/// same A/E rule, so everything but wall time agrees.
+void expect_same_run(const RunStats& par, const RunStats& ser) {
+    EXPECT_EQ(par.iterations, ser.iterations);
+    EXPECT_EQ(par.full_iterations, ser.full_iterations);
+    EXPECT_EQ(par.incremental_iterations, ser.incremental_iterations);
+    EXPECT_EQ(par.edges_streamed, ser.edges_streamed);
+    EXPECT_EQ(par.logical_edges, ser.logical_edges);
+}
+
 class ParallelEngineTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelEngineTest, BfsMatchesReferenceAcrossShardCounts) {
@@ -70,10 +80,8 @@ TEST(ParallelEngine, CcAndSsspMatchSerialEngineDynamically) {
         const auto batch = batches.batch(b);
         (void)sharded.insert_batch(batch);
         (void)serial.insert_batch(batch);
-        par_cc.on_batch(batch);
-        ser_cc.on_batch(batch);
-        par_sssp.on_batch(batch);
-        ser_sssp.on_batch(batch);
+        expect_same_run(par_cc.on_batch(batch), ser_cc.on_batch(batch));
+        expect_same_run(par_sssp.on_batch(batch), ser_sssp.on_batch(batch));
         for (VertexId v = 0; v < serial.num_vertices(); ++v) {
             ASSERT_EQ(par_cc.property(v), ser_cc.property(v))
                 << "CC batch " << b << " vertex " << v;
@@ -81,6 +89,47 @@ TEST(ParallelEngine, CcAndSsspMatchSerialEngineDynamically) {
                 << "SSSP batch " << b << " vertex " << v;
         }
     }
+}
+
+TEST(ParallelEngine, SeedingPassMatchesSerialEngineOnRawWeights) {
+    // Raw RMAT weights: pairs repeat within and across batches with
+    // different weights. Both engines must seed each pair with the weight
+    // the store kept and publish the same seeding row.
+    const auto edges = symmetrize(rmat_edges(300, 5000, 37));
+    core::ShardedStore<core::GraphTinker> sharded(4, [] {
+        return core::Config{};
+    });
+    core::GraphTinker serial;
+    obs::Registry par_registry;
+    obs::Registry ser_registry;
+    ParallelDynamicAnalysis<core::GraphTinker, Sssp> par(
+        sharded, EngineOptions{.registry = &par_registry});
+    DynamicAnalysis<core::GraphTinker, Sssp> ser(
+        serial, EngineOptions{.registry = &ser_registry});
+    par.set_root(0);
+    ser.set_root(0);
+
+    EdgeBatcher batches(edges, 700);
+    std::size_t rows = 0;
+    for (std::size_t b = 0; b < batches.num_batches(); ++b) {
+        const auto batch = batches.batch(b);
+        (void)sharded.insert_batch(batch);
+        (void)serial.insert_batch(batch);
+        const RunStats par_stats = par.on_batch(batch);
+        expect_same_run(par_stats, ser.on_batch(batch));
+        const auto snap = par_registry.snapshot();
+        const auto* trace = snap.find_series("engine.trace");
+        ASSERT_NE(trace, nullptr);
+        EXPECT_EQ(trace->rows.at(rows)[4],
+                  static_cast<double>(batch.size()));
+        rows += par_stats.iterations;
+        for (VertexId v = 0; v < serial.num_vertices(); ++v) {
+            ASSERT_EQ(par.property(v), ser.property(v))
+                << "batch " << b << " vertex " << v;
+        }
+    }
+    EXPECT_EQ(par_registry.snapshot().counter_value("engine.iterations"),
+              ser_registry.snapshot().counter_value("engine.iterations"));
 }
 
 TEST(ParallelEngine, ForcedModesRespected) {
