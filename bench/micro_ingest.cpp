@@ -10,6 +10,11 @@
 // batch; the CI perf-smoke job fails when `--check` sees it below 0.5x
 // (a >2x regression).
 //
+// Every row above sizes its store with Config::reserve_edges. The
+// batch_unreserved row repeats batch 100k on a default Config — how the
+// repository benchmark and most callers build a store — so the arena's
+// growth path (chunk appends mid-batch) is measured too.
+//
 // The wal_buffered / wal_fsync rows re-run the batch path with a WAL
 // attached (buffered group commit vs fsync-per-batch). The durability
 // contract allows buffered logging at most 15% throughput overhead:
@@ -217,6 +222,14 @@ int main(int argc, char** argv) {
             },
             no_finish));
     }
+
+    rows.push_back(measure(
+        "batch_unreserved", 100000, reps, std::span<const Edge>(edges), 100000,
+        [] { return std::make_unique<core::GraphTinker>(); },
+        [](core::GraphTinker& st, std::span<const Edge> s) {
+            (void)st.insert_batch(s);
+        },
+        no_finish));
 
     // 8-shard wrapper across batch sizes, then the shard-scaling sweep at the
     // largest batch (shards in {1, 2, 4, 8} -> the scaling_8x figure). Drain

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/graphtinker.hpp"
+#include "util/hash.hpp"
 
 namespace gt::core {
 
@@ -105,21 +106,9 @@ private:
             AuditViolation{check, src, dst, std::move(detail)});
     }
 
-    [[nodiscard]] bool mask_bit(std::uint32_t block,
-                                std::uint32_t slot) const {
-        const std::uint64_t word =
-            eba_.masks_[static_cast<std::size_t>(block) *
-                            eba_.words_per_block_ +
-                        slot / 64];
-        return ((word >> (slot % 64)) & 1U) != 0;
-    }
-
-    [[nodiscard]] bool tomb_bit(std::uint32_t block, std::uint32_t slot) const {
-        const std::uint64_t word =
-            eba_.tomb_masks_[static_cast<std::size_t>(block) *
-                                 eba_.words_per_block_ +
-                             slot / 64];
-        return ((word >> (slot % 64)) & 1U) != 0;
+    [[nodiscard]] static bool bit(const std::uint64_t* words,
+                                  std::uint32_t slot) {
+        return ((words[slot / 64] >> (slot % 64)) & 1U) != 0;
     }
 
     // ---- pass 1: TBH tree walk + per-cell RHH / CAL-forward checks -------
@@ -180,16 +169,14 @@ private:
     /// re-clearing — a dirty free block would leak stale edges (or
     /// tombstones) straight into the next tree built on top of it.
     void audit_free_block(std::uint32_t b) {
-        if (eba_.occupied_[b] != 0) {
+        const auto view = eba_.view(b);
+        if (*view.occupied != 0) {
             add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
                 "free block " + std::to_string(b) + " counts " +
-                    std::to_string(eba_.occupied_[b]) + " occupied cells");
+                    std::to_string(*view.occupied) + " occupied cells");
         }
-        const std::size_t mbase =
-            static_cast<std::size_t>(b) * eba_.words_per_block_;
         for (std::uint32_t w = 0; w < eba_.words_per_block_; ++w) {
-            if (eba_.masks_[mbase + w] != 0 ||
-                eba_.tomb_masks_[mbase + w] != 0) {
+            if (view.masks[w] != 0 || view.tombs[w] != 0) {
                 add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
                     "free block " + std::to_string(b) +
                         " has non-empty occupancy/tombstone masks");
@@ -197,7 +184,7 @@ private:
             }
         }
         for (std::uint32_t slot = 0; slot < eba_.pagewidth_; ++slot) {
-            if (eba_.cell(b, slot).state != CellState::Empty) {
+            if (view.cells[slot].state != CellState::Empty) {
                 add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
                     "free block " + std::to_string(b) +
                         " holds a non-EMPTY cell at slot " +
@@ -261,17 +248,17 @@ private:
     EdgeCount audit_block(VertexId raw, std::uint32_t top,
                           std::uint32_t block, std::uint32_t level) {
         EdgeCount occupied = 0;
+        const auto view = eba_.view(block);
         for (std::uint32_t slot = 0; slot < eba_.pagewidth_; ++slot) {
-            const EdgeCell& c = eba_.cell(block, slot);
+            const EdgeCell& c = view.cells[slot];
             const bool is_occupied = c.state == CellState::Occupied;
-            if (mask_bit(block, slot) != is_occupied) {
+            if (bit(view.masks, slot) != is_occupied) {
                 add(AuditCheck::Occupancy, raw, c.dst,
                     "occupancy bit disagrees with cell state (block " +
                         std::to_string(block) + " slot " +
                         std::to_string(slot) + ")");
             }
-            if (tomb_bit(block, slot) !=
-                (c.state == CellState::Tombstone)) {
+            if (bit(view.tombs, slot) != (c.state == CellState::Tombstone)) {
                 add(AuditCheck::Occupancy, raw, c.dst,
                     "tombstone bit disagrees with cell state (block " +
                         std::to_string(block) + " slot " +
@@ -288,10 +275,10 @@ private:
             ++report_.cells_audited;
             audit_cell(raw, top, block, slot, level, c);
         }
-        if (occupied != eba_.occupied_[block]) {
+        if (occupied != *view.occupied) {
             add(AuditCheck::Occupancy, raw, kInvalidVertex,
                 "block " + std::to_string(block) + " counter says " +
-                    std::to_string(eba_.occupied_[block]) + " but " +
+                    std::to_string(*view.occupied) + " but " +
                     std::to_string(occupied) + " cells are occupied");
         }
         return occupied;
@@ -363,7 +350,7 @@ private:
                 "occupied cell without CAL pointer");
             return;
         }
-        if (c.cal_pos >= g_.cal_.pool_.size()) {
+        if (c.cal_pos / g_.cal_.block_edges_ >= g_.cal_.block_count_) {
             add(AuditCheck::CalForward, raw, c.dst,
                 "CAL pointer " + std::to_string(c.cal_pos) +
                     " outside the pool");
@@ -384,7 +371,8 @@ private:
     void audit_cal() {
         const CoarseAdjacencyList& cal = g_.cal_;
         constexpr std::uint32_t kNone = 0xffffffffU;
-        std::vector<std::uint8_t> chained(cal.blocks_.size(), 0);
+        const std::uint32_t blocks = cal.block_count_;
+        std::vector<std::uint8_t> chained(blocks, 0);
 
         for (std::size_t group = 0; group < cal.groups_.size(); ++group) {
             const auto& meta = cal.groups_[group];
@@ -398,8 +386,7 @@ private:
             std::uint32_t b = meta.head;
             std::size_t steps = 0;
             while (b != kNone) {
-                if (b >= cal.blocks_.size() ||
-                    ++steps > cal.blocks_.size()) {
+                if (b >= blocks || ++steps > blocks) {
                     add(AuditCheck::CalChain, kInvalidVertex, kInvalidVertex,
                         "group " + std::to_string(group) +
                             " chain is out of range or cyclic");
@@ -411,7 +398,7 @@ private:
                             " appears in two chains");
                     break;
                 }
-                const auto& bm = cal.blocks_[b];
+                const auto& bm = cal.meta(b);
                 if (bm.group != group) {
                     add(AuditCheck::CalChain, kInvalidVertex, kInvalidVertex,
                         "CAL block " + std::to_string(b) + " tagged group " +
@@ -438,17 +425,23 @@ private:
                 prev = b;
                 b = bm.next;
             }
+            if (b == kNone && steps != meta.blocks) {
+                add(AuditCheck::CalChain, kInvalidVertex, kInvalidVertex,
+                    "group " + std::to_string(group) + " chain holds " +
+                        std::to_string(steps) + " blocks but its count says " +
+                        std::to_string(meta.blocks));
+            }
         }
 
         // Every pool block is either chained or free-listed, never both.
-        std::vector<std::uint8_t> free_flag(cal.blocks_.size(), 0);
+        std::vector<std::uint8_t> free_flag(blocks, 0);
         for (const std::uint32_t b : cal.free_) {
-            if (b < cal.blocks_.size()) {
+            if (b < blocks) {
                 free_flag[b] = 1;
                 audit_cal_free_block(b);
             }
         }
-        for (std::size_t b = 0; b < cal.blocks_.size(); ++b) {
+        for (std::uint32_t b = 0; b < blocks; ++b) {
             if (chained[b] != 0 && free_flag[b] != 0) {
                 add(AuditCheck::CalChain, kInvalidVertex, kInvalidVertex,
                     "CAL block " + std::to_string(b) +
@@ -473,15 +466,14 @@ private:
     /// block is appended to a chain.
     void audit_cal_free_block(std::uint32_t block) {
         const CoarseAdjacencyList& cal = g_.cal_;
-        if (cal.blocks_[block].used != 0) {
+        if (cal.meta(block).used != 0) {
             add(AuditCheck::CalChain, kInvalidVertex, kInvalidVertex,
                 "free CAL block " + std::to_string(block) + " counts " +
-                    std::to_string(cal.blocks_[block].used) + " used slots");
+                    std::to_string(cal.meta(block).used) + " used slots");
         }
-        const std::size_t base =
-            static_cast<std::size_t>(block) * cal.block_edges_;
+        const auto* slots = cal.slots(block);
         for (std::uint32_t i = 0; i < cal.block_edges_; ++i) {
-            if (cal.pool_[base + i].src != kInvalidVertex) {
+            if (slots[i].src != kInvalidVertex) {
                 add(AuditCheck::CalChain, kInvalidVertex, kInvalidVertex,
                     "free CAL block " + std::to_string(block) +
                         " holds a live slot at offset " + std::to_string(i));
@@ -493,16 +485,15 @@ private:
     /// Reverse (CAL slot -> edge-cell) round-trip for one chained block.
     void audit_cal_block(std::uint32_t block) {
         const CoarseAdjacencyList& cal = g_.cal_;
-        const std::size_t base =
-            static_cast<std::size_t>(block) * cal.block_edges_;
-        for (std::uint32_t i = 0; i < cal.blocks_[block].used; ++i) {
+        const auto* slots = cal.slots(block);
+        for (std::uint32_t i = 0; i < cal.meta(block).used; ++i) {
             ++report_.cal_slots_audited;
-            const auto& slot = cal.pool_[base + i];
+            const auto& slot = slots[i];
             if (slot.src == kInvalidVertex) {
                 continue;  // delete-only hole
             }
             ++cal_live_;
-            const auto pos = static_cast<std::uint32_t>(base + i);
+            const std::uint32_t pos = block * cal.block_edges_ + i;
             if (slot.owner.block >= eba_.block_count_ ||
                 slot.owner.slot >= eba_.pagewidth_) {
                 add(AuditCheck::CalReverse, slot.src, slot.dst,
@@ -589,6 +580,65 @@ private:
 
 AuditReport Auditor::run(const GraphTinker& graph) {
     return Run(graph).run();
+}
+
+std::uint64_t Auditor::arena_digest(const GraphTinker& graph) {
+    std::uint64_t h = 0;
+    const auto feed = [&h](std::uint64_t v) {
+        h = mix64(h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
+    };
+    const EdgeblockArray& eba = graph.eba_;
+    feed(eba.block_count_);
+    for (const std::uint32_t b : eba.free_blocks_) {
+        feed(b);
+    }
+    for (std::uint32_t block = 0; block < eba.block_count_; ++block) {
+        const auto view = eba.view(block);
+        for (std::uint32_t i = 0; i < eba.pagewidth_; ++i) {
+            const EdgeCell& c = view.cells[i];
+            feed(c.dst);
+            feed(c.weight);
+            feed(c.cal_pos);
+            feed(c.probe);
+            feed(static_cast<std::uint64_t>(c.state));
+        }
+        for (std::uint32_t s = 0; s < eba.spb_; ++s) {
+            feed(view.children[s]);
+        }
+        feed(*view.occupied);
+        for (std::uint32_t w = 0; w < eba.words_per_block_; ++w) {
+            feed(view.masks[w]);
+            feed(view.tombs[w]);
+        }
+    }
+    const CoarseAdjacencyList& cal = graph.cal_;
+    feed(cal.block_count_);
+    feed(cal.live_);
+    feed(cal.used_);
+    for (const std::uint32_t b : cal.free_) {
+        feed(b);
+    }
+    for (const auto& group : cal.groups_) {
+        feed(group.head);
+        feed(group.tail);
+        feed(group.blocks);
+    }
+    for (std::uint32_t block = 0; block < cal.block_count_; ++block) {
+        const auto& meta = cal.meta(block);
+        feed(meta.next);
+        feed(meta.prev);
+        feed(meta.group);
+        feed(meta.used);
+        const auto* slots = cal.slots(block);
+        for (std::uint32_t i = 0; i < cal.block_edges_; ++i) {
+            feed(slots[i].src);
+            feed(slots[i].dst);
+            feed(slots[i].weight);
+            feed(slots[i].owner.block);
+            feed(slots[i].owner.slot);
+        }
+    }
+    return h;
 }
 
 AuditReport GraphTinker::audit() const { return Auditor::run(*this); }
@@ -689,6 +739,15 @@ bool CorruptionInjector::corrupt_sgh(GraphTinker& graph) {
         return false;
     }
     std::swap(table[0], table[1]);
+    return true;
+}
+
+bool CorruptionInjector::corrupt_chain_count(GraphTinker& graph) {
+    auto& groups = graph.cal_.groups_;
+    if (groups.empty()) {
+        return false;
+    }
+    ++groups.front().blocks;
     return true;
 }
 

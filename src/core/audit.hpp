@@ -116,6 +116,14 @@ class Auditor {
 public:
     [[nodiscard]] static AuditReport run(const GraphTinker& graph);
 
+    /// Content digest of the raw arenas: every handed-out edgeblock (cells
+    /// field by field, child links, occupied count, masks) and CAL block
+    /// (slots, chain metadata), both free lists and the CAL group table.
+    /// Equal digests mean the arenas hold the same contents at the same
+    /// block indices — tests use it to show a failed operation left the
+    /// storage untouched, which an edge-set comparison cannot.
+    [[nodiscard]] static std::uint64_t arena_digest(const GraphTinker& graph);
+
 private:
     class Run;  // stateful single-run walk (audit.cpp)
 };
@@ -148,6 +156,8 @@ public:
     /// Blanks an occupied cell without updating the occupancy bookkeeping
     /// -> Occupancy (+ accounting drift).
     static bool vanish_cell(GraphTinker& graph, VertexId src, VertexId dst);
+    /// Bumps the first CAL group's chain-length count -> CalChain.
+    static bool corrupt_chain_count(GraphTinker& graph);
 
 private:
     /// Locates the mutable edge-cell of (src, dst); nullptr when absent.

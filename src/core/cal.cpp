@@ -11,7 +11,7 @@ CoarseAdjacencyList::CoarseAdjacencyList(std::uint32_t group_size,
                                          std::uint32_t block_edges,
                                          obs::Registry* registry)
     : group_size_(group_size), block_edges_(block_edges),
-      registry_(registry) {
+      registry_(registry), arena_({block_edges, 1}, kFirstChunkBlocks) {
     assert(group_size_ > 0 && block_edges_ > 0);
     if (registry_ == nullptr) {
         owned_registry_ = std::make_unique<obs::Registry>();
@@ -26,32 +26,31 @@ CoarseAdjacencyList::CoarseAdjacencyList(std::uint32_t group_size,
     chain_blocks_m_ = &r.histogram("cal.chain_blocks");
 }
 
+void CoarseAdjacencyList::reserve(EdgeCount expected_edges) {
+    if (arena_.capacity() == 0) {
+        arena_.set_first_chunk_blocks(expected_edges / block_edges_ + 2);
+        arena_.grow();
+    }
+}
+
 std::uint32_t CoarseAdjacencyList::allocate_block(std::uint32_t group) {
     std::uint32_t id;
     if (!free_.empty()) {
+        // Free-listed blocks were drained slot by slot on the way out.
         id = free_.back();
         free_.pop_back();
     } else {
-        id = static_cast<std::uint32_t>(blocks_.size());
-        blocks_.emplace_back();
-        pool_.resize(pool_.size() + block_edges_);
-    }
-    blocks_[id] = BlockMeta{.next = kNone, .prev = kNone, .group = group,
-                            .used = 0};
-    blocks_allocated_m_->inc();
-    // Chain-length distribution: sampled at growth time, when the walk is
-    // proportional to the chain the paper cares about anyway. Gated so a
-    // disabled run never pays the walk.
-    if constexpr (obs::kEnabled) {
-        if (obs::recording() && group < groups_.size()) {
-            std::uint64_t len = 1;  // the block being linked in
-            for (std::uint32_t b = groups_[group].head; b != kNone;
-                 b = blocks_[b].next) {
-                ++len;
-            }
-            chain_blocks_m_->record(len);
+        if (block_count_ == arena_.capacity()) {
+            arena_.grow();
         }
+        id = block_count_++;
+        // Chunk memory is raw: clear the slots so a block freed before it
+        // fills holds no stale data past its bump cursor.
+        std::fill_n(slots(id), block_edges_, CalEdgeSlot{});
     }
+    meta(id) = BlockMeta{.next = kNone, .prev = kNone, .group = group,
+                         .used = 0};
+    blocks_allocated_m_->inc();
     return id;
 }
 
@@ -59,23 +58,19 @@ void CoarseAdjacencyList::reserve_headroom() {
     // Invariant restored here: free_ can absorb a push for every block that
     // exists (or is about to), so free_tail_block never reallocates.
     if (free_.empty()) {
-        // The next append may allocate one fresh block: metadata slot, one
-        // block's worth of pool slots, and a free-list slot for its
-        // eventual release. Geometric growth — vector::reserve alone would
-        // degrade push_back's amortization to O(n^2).
-        const std::size_t nblocks = blocks_.size() + 1;
+        // The next append may allocate one fresh block: arena room for it
+        // and a free-list slot for its eventual release. Geometric growth —
+        // vector::reserve alone would degrade push_back's amortization to
+        // O(n^2).
+        const std::size_t nblocks = block_count_ + std::size_t{1};
         if (free_.capacity() < nblocks) {
             free_.reserve(std::max<std::size_t>(nblocks * 2, 8));
         }
-        if (blocks_.capacity() < nblocks) {
-            blocks_.reserve(std::max<std::size_t>(nblocks * 2, 8));
+        if (block_count_ == arena_.capacity()) {
+            arena_.grow();
         }
-        const std::size_t npool = pool_.size() + block_edges_;
-        if (pool_.capacity() < npool) {
-            pool_.reserve(std::max(npool, pool_.capacity() * 2));
-        }
-    } else if (free_.capacity() < blocks_.size()) {
-        free_.reserve(blocks_.size());
+    } else if (free_.capacity() < block_count_) {
+        free_.reserve(block_count_);
     }
 }
 
@@ -94,8 +89,8 @@ void CoarseAdjacencyList::prepare_append_group(std::uint32_t /*group*/) {
 
 void CoarseAdjacencyList::prepare_erase() {
     GT_FAILPOINT("cal.grow");
-    if (free_.capacity() < blocks_.size()) {
-        free_.reserve(blocks_.size());
+    if (free_.capacity() < block_count_) {
+        free_.reserve(block_count_);
     }
 }
 
@@ -113,36 +108,38 @@ std::uint32_t CoarseAdjacencyList::insert_in_group(std::uint32_t group,
                                                    VertexId raw_src,
                                                    VertexId dst, Weight weight,
                                                    CellRef owner) {
-    GroupMeta& meta = groups_[group];
-    if (meta.tail == kNone || blocks_[meta.tail].used == block_edges_) {
+    GroupMeta& gm = groups_[group];
+    if (gm.tail == kNone || meta(gm.tail).used == block_edges_) {
         const std::uint32_t block = allocate_block(group);
-        blocks_[block].prev = meta.tail;
-        if (meta.tail == kNone) {
-            meta.head = block;
+        meta(block).prev = gm.tail;
+        if (gm.tail == kNone) {
+            gm.head = block;
         } else {
-            blocks_[meta.tail].next = block;
+            meta(gm.tail).next = block;
         }
-        meta.tail = block;
+        gm.tail = block;
+        chain_blocks_m_->record(++gm.blocks);
     }
-    BlockMeta& tail = blocks_[meta.tail];
-    const std::uint32_t pos = meta.tail * block_edges_ + tail.used;
+    BlockMeta& tail = meta(gm.tail);
+    const std::uint32_t pos = gm.tail * block_edges_ + tail.used;
+    slots(gm.tail)[tail.used] = CalEdgeSlot{
+        .src = raw_src, .dst = dst, .weight = weight, .owner = owner};
     ++tail.used;
-    pool_[pos] = CalEdgeSlot{.src = raw_src, .dst = dst, .weight = weight,
-                             .owner = owner};
     ++live_;
     ++used_;
     return pos;
 }
 
-void CoarseAdjacencyList::free_tail_block(GroupMeta& meta) {
-    assert(meta.tail != kNone && blocks_[meta.tail].used == 0);
-    const std::uint32_t old_tail = meta.tail;
-    const std::uint32_t prev = blocks_[old_tail].prev;
-    meta.tail = prev;
+void CoarseAdjacencyList::free_tail_block(GroupMeta& gm) {
+    assert(gm.tail != kNone && meta(gm.tail).used == 0);
+    const std::uint32_t old_tail = gm.tail;
+    const std::uint32_t prev = meta(old_tail).prev;
+    gm.tail = prev;
+    --gm.blocks;
     if (prev == kNone) {
-        meta.head = kNone;
+        gm.head = kNone;
     } else {
-        blocks_[prev].next = kNone;
+        meta(prev).next = kNone;
     }
     free_.push_back(old_tail);
     blocks_freed_m_->inc();
@@ -150,7 +147,7 @@ void CoarseAdjacencyList::free_tail_block(GroupMeta& meta) {
 
 std::optional<CoarseAdjacencyList::Moved> CoarseAdjacencyList::erase(
     std::uint32_t pos, bool compact) {
-    CalEdgeSlot& victim = pool_[pos];
+    CalEdgeSlot& victim = slot(pos);
     assert(victim.src != kInvalidVertex && "double CAL erase");
     --live_;
     if (!compact) {
@@ -162,13 +159,13 @@ std::optional<CoarseAdjacencyList::Moved> CoarseAdjacencyList::erase(
         return std::nullopt;
     }
 
-    const std::uint32_t block = pos / block_edges_;
-    GroupMeta& meta = groups_[blocks_[block].group];
-    BlockMeta& tail = blocks_[meta.tail];
+    GroupMeta& gm = groups_[meta(pos / block_edges_).group];
+    BlockMeta& tail = meta(gm.tail);
     assert(tail.used > 0);
-    const std::uint32_t last_pos = meta.tail * block_edges_ + tail.used - 1;
     --tail.used;
     --used_;
+    const std::uint32_t last_pos = gm.tail * block_edges_ + tail.used;
+    CalEdgeSlot& last = slots(gm.tail)[tail.used];
     std::optional<Moved> moved;
     // Self-move guard: when the erased edge IS the group's tail edge
     // (last_pos == pos), there is nothing to relocate and no Moved may be
@@ -178,15 +175,15 @@ std::optional<CoarseAdjacencyList::Moved> CoarseAdjacencyList::erase(
         // Compact chains hold no holes, so the relocated tail edge is
         // always live and its owner backreference is current (every prior
         // cell move re-bound it through rebind()).
-        assert(pool_[last_pos].src != kInvalidVertex &&
+        assert(last.src != kInvalidVertex &&
                "compact-mode tail slot must be live");
-        pool_[pos] = pool_[last_pos];
-        moved = Moved{.owner = pool_[pos].owner, .new_pos = pos};
+        victim = last;
+        moved = Moved{.owner = victim.owner, .new_pos = pos};
         compact_moves_m_->inc();
     }
-    pool_[last_pos] = CalEdgeSlot{};
+    last = CalEdgeSlot{};
     if (tail.used == 0) {
-        free_tail_block(meta);
+        free_tail_block(gm);
     }
     return moved;
 }
@@ -194,62 +191,60 @@ std::optional<CoarseAdjacencyList::Moved> CoarseAdjacencyList::erase(
 std::size_t CoarseAdjacencyList::compact_chains(
     const std::function<void(CellRef, std::uint32_t)>& rebind) {
     std::size_t reclaimed = 0;
-    for (GroupMeta& meta : groups_) {
-        if (meta.head == kNone) {
+    for (GroupMeta& gm : groups_) {
+        if (gm.head == kNone) {
             continue;
         }
         // One pass per chain with a trailing write cursor: live slots slide
         // toward the head (preserving streaming order), holes are skipped
         // and every relocated edge's owner is re-bound immediately.
-        std::uint32_t wb = meta.head;
+        std::uint32_t wb = gm.head;
+        CalEdgeSlot* wslots = slots(wb);
         std::uint32_t wslot = 0;
         std::uint64_t live_in_group = 0;
-        for (std::uint32_t rb = meta.head; rb != kNone;
-             rb = blocks_[rb].next) {
-            const std::size_t rbase =
-                static_cast<std::size_t>(rb) * block_edges_;
-            const std::uint32_t used = blocks_[rb].used;
+        for (std::uint32_t rb = gm.head; rb != kNone; rb = meta(rb).next) {
+            CalEdgeSlot* rslots = slots(rb);
+            const std::uint32_t used = meta(rb).used;
             for (std::uint32_t i = 0; i < used; ++i) {
-                CalEdgeSlot& slot = pool_[rbase + i];
+                CalEdgeSlot& slot = rslots[i];
                 if (slot.src == kInvalidVertex) {
                     ++reclaimed;  // delete-only hole: drops out of the chain
                     continue;
                 }
                 ++live_in_group;
                 if (wslot == block_edges_) {
-                    wb = blocks_[wb].next;
+                    wb = meta(wb).next;
+                    wslots = slots(wb);
                     wslot = 0;
                 }
-                const auto wpos =
-                    static_cast<std::uint32_t>(wb * block_edges_ + wslot);
-                if (wpos != static_cast<std::uint32_t>(rbase + i)) {
-                    pool_[wpos] = slot;
+                if (&wslots[wslot] != &slot) {
+                    wslots[wslot] = slot;
                     slot = CalEdgeSlot{};
-                    rebind(pool_[wpos].owner, wpos);
+                    rebind(wslots[wslot].owner, wb * block_edges_ + wslot);
                 }
                 ++wslot;
             }
         }
         if (live_in_group == 0) {
             // Nothing left: the whole chain returns to the free list.
-            while (meta.tail != kNone) {
-                blocks_[meta.tail].used = 0;
-                free_tail_block(meta);
+            while (gm.tail != kNone) {
+                meta(gm.tail).used = 0;
+                free_tail_block(gm);
             }
             continue;
         }
         // Rewrite the bump counters — full blocks up to the write cursor,
         // the cursor block partial — and free everything past the cursor.
-        for (std::uint32_t b = meta.head;; b = blocks_[b].next) {
+        for (std::uint32_t b = gm.head;; b = meta(b).next) {
             if (b == wb) {
-                blocks_[b].used = wslot;
+                meta(b).used = wslot;
                 break;
             }
-            blocks_[b].used = block_edges_;
+            meta(b).used = block_edges_;
         }
-        while (meta.tail != wb) {
-            blocks_[meta.tail].used = 0;
-            free_tail_block(meta);
+        while (gm.tail != wb) {
+            meta(gm.tail).used = 0;
+            free_tail_block(gm);
         }
     }
     used_ -= reclaimed;
@@ -258,18 +253,20 @@ std::size_t CoarseAdjacencyList::compact_chains(
 }
 
 void CoarseAdjacencyList::update_weight(std::uint32_t pos, Weight weight) {
-    assert(pool_[pos].src != kInvalidVertex);
-    pool_[pos].weight = weight;
+    CalEdgeSlot& s = slot(pos);
+    assert(s.src != kInvalidVertex);
+    s.weight = weight;
 }
 
 void CoarseAdjacencyList::rebind(std::uint32_t pos, CellRef owner) {
-    assert(pool_[pos].src != kInvalidVertex);
-    pool_[pos].owner = owner;
+    CalEdgeSlot& s = slot(pos);
+    assert(s.src != kInvalidVertex);
+    s.owner = owner;
 }
 
 CoarseAdjacencyList::SlotView CoarseAdjacencyList::slot_at(
     std::uint32_t pos) const {
-    const CalEdgeSlot& slot = pool_[pos];
+    const CalEdgeSlot& slot = this->slot(pos);
     return SlotView{.src = slot.src, .dst = slot.dst, .weight = slot.weight,
                     .owner = slot.owner, .valid = slot.src != kInvalidVertex};
 }

@@ -12,6 +12,9 @@
 // freshly created hole and fix the owner's CAL-pointer, and (b) the
 // EdgeblockArray can re-bind the pointer when Robin Hood swaps or compaction
 // move a cell.
+//
+// Blocks (slots plus chain metadata) live in a util/chunked_arena.hpp store,
+// so growing the pool appends a chunk instead of copying every slot.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/chunked_arena.hpp"
 #include "util/types.hpp"
 #include "util/visit.hpp"
 
@@ -43,11 +47,9 @@ public:
     CoarseAdjacencyList(std::uint32_t group_size, std::uint32_t block_edges,
                         obs::Registry* registry = nullptr);
 
-    /// Reserves pool capacity for the expected edge count.
-    void reserve(EdgeCount expected_edges) {
-        pool_.reserve(expected_edges + block_edges_);
-        blocks_.reserve(expected_edges / block_edges_ + 2);
-    }
+    /// Sizes the pool's first chunk for the expected edge count. Only
+    /// effective before the first block is allocated.
+    void reserve(EdgeCount expected_edges);
 
     /// Appends a copy of (raw_src, dst, weight) to the chain of the group of
     /// `dense_src`, growing it by one block if the tail is full. Returns the
@@ -135,18 +137,19 @@ public:
     template <typename Fn>
     bool visit_edges(Fn&& fn) const {
         for (const GroupMeta& group : groups_) {
-            for (std::uint32_t b = group.head; b != kNone; b = blocks_[b].next) {
-                const std::size_t base =
-                    static_cast<std::size_t>(b) * block_edges_;
-                const std::uint32_t used = blocks_[b].used;
-                for (std::uint32_t i = 0; i < used; ++i) {
-                    const CalEdgeSlot& slot = pool_[base + i];
+            for (std::uint32_t b = group.head; b != kNone;) {
+                const Arena::Pos pos = arena_.locate(b);
+                const BlockMeta& bm = *arena_.at<kMeta>(pos);
+                const CalEdgeSlot* slots = arena_.at<kSlots>(pos);
+                for (std::uint32_t i = 0; i < bm.used; ++i) {
+                    const CalEdgeSlot& slot = slots[i];
                     if (slot.src != kInvalidVertex) {
                         if (!visit_step(fn, slot.src, slot.dst, slot.weight)) {
                             return false;
                         }
                     }
                 }
+                b = bm.next;
             }
         }
         return true;
@@ -156,7 +159,7 @@ public:
     /// Slots handed out and still scanned during streaming (live + holes).
     [[nodiscard]] EdgeCount scanned_slots() const noexcept { return used_; }
     [[nodiscard]] std::size_t blocks_in_use() const noexcept {
-        return blocks_.size() - free_.size();
+        return block_count_ - free_.size();
     }
 
     /// Bytes held by in-use blocks (pool slots plus chain metadata).
@@ -167,7 +170,7 @@ public:
     }
     /// Bytes of pool storage actually allocated (in-use + free-listed).
     [[nodiscard]] std::size_t memory_capacity_bytes() const noexcept {
-        return blocks_.size() * bytes_per_block() +
+        return block_count_ * bytes_per_block() +
                groups_.size() * sizeof(GroupMeta);
     }
 
@@ -199,9 +202,35 @@ private:
     struct GroupMeta {
         std::uint32_t head = kNone;
         std::uint32_t tail = kNone;
+        std::uint32_t blocks = 0;  // chain length ("cal.chain_blocks")
     };
 
     static constexpr std::uint32_t kNone = 0xffffffffU;
+    /// The pool's first chunk when reserve() gives no sizing.
+    static constexpr std::uint32_t kFirstChunkBlocks = 8;
+
+    enum Plane : std::size_t { kSlots, kMeta };
+    using Arena = ChunkedArena<CalEdgeSlot, BlockMeta>;
+
+    [[nodiscard]] CalEdgeSlot* slots(std::uint32_t block) noexcept {
+        return arena_.at<kSlots>(block);
+    }
+    [[nodiscard]] const CalEdgeSlot* slots(
+        std::uint32_t block) const noexcept {
+        return arena_.at<kSlots>(block);
+    }
+    [[nodiscard]] CalEdgeSlot& slot(std::uint32_t pos) noexcept {
+        return slots(pos / block_edges_)[pos % block_edges_];
+    }
+    [[nodiscard]] const CalEdgeSlot& slot(std::uint32_t pos) const noexcept {
+        return slots(pos / block_edges_)[pos % block_edges_];
+    }
+    [[nodiscard]] BlockMeta& meta(std::uint32_t block) noexcept {
+        return *arena_.at<kMeta>(block);
+    }
+    [[nodiscard]] const BlockMeta& meta(std::uint32_t block) const noexcept {
+        return *arena_.at<kMeta>(block);
+    }
 
     [[nodiscard]] std::size_t bytes_per_block() const noexcept {
         return static_cast<std::size_t>(block_edges_) * sizeof(CalEdgeSlot) +
@@ -214,10 +243,13 @@ private:
     /// prepare_append once the group slot is known to exist.
     void prepare_append_group(std::uint32_t group);
 
+    /// Hands out a block (free-listed or fresh) tagged with `group`. Grows
+    /// the arena only when no pre-flight reserved room (direct insert()).
     std::uint32_t allocate_block(std::uint32_t group);
     void free_tail_block(GroupMeta& group_meta);
     /// Reserves capacity so the next block allocation and any number of
-    /// tail-block frees are nothrow (free_ is kept able to hold every block).
+    /// tail-block frees are nothrow (free_ is kept able to hold every block,
+    /// and the arena has room for one fresh block).
     void reserve_headroom();
 
     std::uint32_t group_size_;
@@ -233,8 +265,9 @@ private:
     obs::Counter* holes_reclaimed_m_ = nullptr;
     obs::Counter* compact_moves_m_ = nullptr;
     obs::Histogram* chain_blocks_m_ = nullptr;
-    std::vector<CalEdgeSlot> pool_;
-    std::vector<BlockMeta> blocks_;
+    Arena arena_;
+    /// Blocks handed out so far (chained or free-listed).
+    std::uint32_t block_count_ = 0;
     std::vector<GroupMeta> groups_;
     std::vector<std::uint32_t> free_;
     EdgeCount live_ = 0;

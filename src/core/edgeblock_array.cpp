@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "core/probe_kernel.hpp"
 #include "util/failpoint.hpp"
@@ -80,6 +81,8 @@ EdgeblockArray::EdgeblockArray(const Config& config, CoarseAdjacencyList* cal,
       kernel_ok_(config.subblock <= 64),
       words_per_block_((config.pagewidth + 63) / 64),
       cal_(cal),
+      arena_({pagewidth_, spb_, 1, words_per_block_, words_per_block_},
+             kFirstChunkBlocks),
       registry_(registry) {
     config.validate();
     if (registry_ == nullptr) {
@@ -99,89 +102,79 @@ EdgeblockArray::EdgeblockArray(const Config& config, CoarseAdjacencyList* cal,
     metrics_.find_probe_cells = &r.histogram("eba.find_probe_cells");
     metrics_.insert_probe_cells = &r.histogram("eba.insert_probe_cells");
     if (config.reserve_edges > 0) {
-        // Pre-size the arena eagerly (resize, not reserve) so the bulk
-        // fills and first-touch page faults happen here instead of on the
-        // insert hot path. Hash-sharded subblocks branch out well before a
-        // block fills (skewed streams average ~a quarter occupancy), hence
-        // the 4-edges-per-pagewidth sizing; geometric growth in
-        // allocate_block covers any tail.
-        const std::size_t blocks = std::min<std::size_t>(
-            static_cast<std::size_t>(config.reserve_edges * 4 / pagewidth_) +
-                config.initial_vertices + 1,
-            kNoBlock - 1);
-        storage_blocks_ = static_cast<std::uint32_t>(blocks);
-        cells_.resize(blocks * pagewidth_);
-        children_.resize(blocks * spb_, kNoBlock);
-        occupied_.resize(blocks, 0);
-        masks_.resize(blocks * words_per_block_, 0);
-        tomb_masks_.resize(blocks * words_per_block_, 0);
+        // Size the first chunk for the expected graph and clear it here, so
+        // the bulk fill and first-touch page faults happen at construction
+        // instead of on the insert hot path. Hash-sharded subblocks branch
+        // out well before a block fills (skewed streams average ~a quarter
+        // occupancy), hence the 4-edges-per-pagewidth sizing; further
+        // chunks cover any tail.
+        const std::uint64_t blocks = std::min<std::uint64_t>(
+            config.reserve_edges * 4 / pagewidth_ + config.initial_vertices +
+                1,
+            Arena::kMaxFirstChunkBlocks);
+        arena_.set_first_chunk_blocks(blocks);
+        arena_.grow();
+        for (std::uint64_t b = 0; b < blocks; ++b) {
+            clear_block(static_cast<std::uint32_t>(b));
+        }
+        cleared_ = blocks;
     }
 }
 
-void EdgeblockArray::grow_storage(std::uint32_t target) {
-    // Resize order is failure-safe: if any resize throws, the vectors that
-    // already grew merely carry unused slack (block_count_ and
-    // storage_blocks_ are written only after every resize landed), so the
-    // arena stays consistent.
-    cells_.resize(static_cast<std::size_t>(target) * pagewidth_);
-    children_.resize(static_cast<std::size_t>(target) * spb_, kNoBlock);
-    occupied_.resize(target, 0);
-    masks_.resize(static_cast<std::size_t>(target) * words_per_block_, 0);
-    tomb_masks_.resize(static_cast<std::size_t>(target) * words_per_block_,
-                       0);
-    storage_blocks_ = target;
+void EdgeblockArray::grow_storage() {
+    if (arena_.capacity() >= kNoBlock) {
+        throw std::length_error("EdgeblockArray: block ids exhausted");
+    }
+    arena_.grow();
 }
 
 void EdgeblockArray::ensure_block_available() {
-    if (!free_blocks_.empty() || block_count_ < storage_blocks_) {
+    if (!free_blocks_.empty() || block_count_ < arena_.capacity()) {
         return;
     }
     GT_FAILPOINT("eba.grow");
-    // Grow the arena by many blocks at once: branch-outs allocate
-    // constantly on the insert hot path, and five small resizes per
-    // block (each element-constructing one block's worth of cells)
-    // cost more than one bulk fill amortized over the chunk.
-    grow_storage(std::max({block_count_ + 1,
-                           storage_blocks_ + storage_blocks_ / 2, 64U}));
+    // One chunk, twice the size of the last: blocks already handed out stay
+    // where they are, so growth costs an allocation, not a copy.
+    grow_storage();
+}
+
+void EdgeblockArray::clear_block(std::uint32_t block) noexcept {
+    const BlockView b = view(block);
+    std::fill_n(b.cells, pagewidth_, EdgeCell{});
+    std::fill_n(b.children, spb_, kNoBlock);
+    *b.occupied = 0;
+    std::fill_n(b.masks, words_per_block_, std::uint64_t{0});
+    std::fill_n(b.tombs, words_per_block_, std::uint64_t{0});
 }
 
 std::uint32_t EdgeblockArray::allocate_block() {
-    std::uint32_t block;
     if (!free_blocks_.empty()) {
-        block = free_blocks_.back();
+        // Free-listed blocks were scrubbed clean by free_block (an
+        // invariant the auditor enforces), so recycling is pop-and-go.
+        const std::uint32_t block = free_blocks_.back();
         free_blocks_.pop_back();
-    } else {
-        block = block_count_++;
-        if (block_count_ > storage_blocks_) {
-            // Growth fallback for paths that skipped the pre-flight
-            // (maintenance rebuilds); the insert path always runs
-            // ensure_block_available first, so it never grows here.
-            grow_storage(std::max(
-                {block_count_, storage_blocks_ + storage_blocks_ / 2, 64U}));
-        }
-        return block;  // freshly appended storage is already cleared
+        assert(occupied_in(block) == 0);
+        return block;
     }
-    // Free-listed blocks were scrubbed clean by free_block (an invariant
-    // the auditor enforces), so recycling is pop-and-go.
-    assert(occupied_[block] == 0);
+    if (block_count_ == arena_.capacity()) {
+        // Growth fallback for paths that skipped the pre-flight
+        // (maintenance rebuilds); the insert path always runs
+        // ensure_block_available first, so it never grows here.
+        grow_storage();
+    }
+    const std::uint32_t block = block_count_++;
+    if (block >= cleared_) {
+        clear_block(block);  // chunk memory is raw until first use
+    }
     return block;
 }
 
 void EdgeblockArray::free_block(std::uint32_t block) {
-    assert(occupied_[block] == 0);
+    assert(occupied_in(block) == 0);
     // Scrub on the way out so free-listed blocks hold no stale cells, masks
     // or tombstones — allocate_block recycles them without re-clearing, and
     // the auditor checks reclaimed blocks are genuinely empty.
-    const std::size_t base = static_cast<std::size_t>(block) * pagewidth_;
-    for (std::uint32_t i = 0; i < pagewidth_; ++i) {
-        cells_[base + i] = EdgeCell{};
-    }
-    const std::size_t mbase =
-        static_cast<std::size_t>(block) * words_per_block_;
-    for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-        masks_[mbase + w] = 0;
-        tomb_masks_[mbase + w] = 0;
-    }
+    clear_block(block);
     free_blocks_.push_back(block);
     metrics_.blocks_freed->inc();
 }
@@ -198,11 +191,12 @@ void EdgeblockArray::free_subtree(std::uint32_t block) {
 }
 
 bool EdgeblockArray::subtree_is_empty(std::uint32_t block) const {
-    if (occupied_[block] != 0) {
+    const BlockView b = view(block);
+    if (*b.occupied != 0) {
         return false;
     }
     for (std::uint32_t s = 0; s < spb_; ++s) {
-        if (child(block, s) != kNoBlock) {
+        if (b.children[s] != kNoBlock) {
             return false;  // descendants were pruned eagerly; conservative
         }
     }
@@ -243,17 +237,16 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
     std::uint32_t block = top;
     std::uint32_t level = 0;
     while (block != kNoBlock) {
+        const BlockView b = view(block);
         const std::uint32_t sb = sb_of(dst, level);
         const std::uint32_t sb_base = sb * subblock_;
         if (kernel_ok_) {
             // Bit-parallel FIND: one SIMD dst compare over the subblock plus
             // the occupancy/tombstone windows decide found/absent/descend
             // without a per-cell walk (see core/probe_kernel.hpp).
-            const WindowBits bits = window_bits(block, sb_base);
-            const SubblockWindow w{
-                &cells_[static_cast<std::size_t>(block) * pagewidth_ +
-                        sb_base],
-                subblock_, bits.occ, bits.tomb};
+            const WindowBits bits = window_bits(b, sb_base);
+            const SubblockWindow w{b.cells + sb_base, subblock_, bits.occ,
+                                   bits.tomb};
             const FindStep step =
                 rhh_ ? find_step<kProbeKernelSimd>(w, home_of(dst, level),
                                                    dst)
@@ -277,7 +270,7 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
             for (std::uint32_t d = 0; d < subblock_; ++d) {
                 const std::uint32_t slot =
                     sb_base + ((home + d) & (subblock_ - 1));
-                const EdgeCell& c = cell(block, slot);
+                const EdgeCell& c = b.cells[slot];
                 ++scanned;
                 if (c.state == CellState::Empty) {
                     flush.cells += scanned;
@@ -300,7 +293,7 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
             bool found = false;
             std::uint32_t where = 0;
             for (std::uint32_t off = 0; off < subblock_; ++off) {
-                const EdgeCell& c = cell(block, sb_base + off);
+                const EdgeCell& c = b.cells[sb_base + off];
                 if (c.state == CellState::Occupied && c.dst == dst) {
                     found = true;
                     where = sb_base + off;
@@ -311,7 +304,7 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
                 return Located{block, sb, where, level};
             }
         }
-        block = child(block, sb);
+        block = b.children[sb];
         ++level;
     }
     return std::nullopt;
@@ -389,19 +382,18 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
         // duplicate and first-EMPTY detection run on the subblock's masks
         // and one SIMD dst compare per level.
         while (block != kNoBlock) {
+            const BlockView b = view(block);
             const std::uint32_t sb = sb_of(dst, level);
             const std::uint32_t sb_base = sb * subblock_;
-            const WindowBits bits = window_bits(block, sb_base);
-            const SubblockWindow w{
-                &cells_[static_cast<std::size_t>(block) * pagewidth_ +
-                        sb_base],
-                subblock_, bits.occ, bits.tomb};
+            const WindowBits bits = window_bits(b, sb_base);
+            const SubblockWindow w{b.cells + sb_base, subblock_, bits.occ,
+                                   bits.tomb};
             const ProbeStep step =
                 probe_step<kProbeKernelSimd>(w, home_of(dst, level), dst);
             flush.cells += step.scanned;
             flush.workblocks += (step.scanned + workblock_ - 1) / workblock_;
             if (step.kind == ProbeStep::Kind::Duplicate) {
-                EdgeCell& c = cell(block, sb_base + step.slot);
+                EdgeCell& c = b.cells[sb_base + step.slot];
                 const Weight prev = c.weight;
                 c.weight = weight;
                 ProbeResult dup{ProbeResult::Kind::Duplicate, c.cal_pos,
@@ -432,20 +424,21 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
                 resume_block = block;
                 resume_level = level;
             }
-            block = child(block, sb);
+            block = b.children[sb];
             ++level;
         }
         return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{},
                            0, resume_block, resume_level};
     }
     while (block != kNoBlock) {
+        const BlockView b = view(block);
         const std::uint32_t sb = sb_of(dst, level);
         const std::uint32_t sb_base = sb * subblock_;
         const std::uint32_t home = home_of(dst, level);
         for (std::uint32_t d = 0; d < subblock_; ++d) {
             const std::uint32_t slot =
                 sb_base + ((home + d) & (subblock_ - 1));
-            EdgeCell& c = cell(block, slot);
+            EdgeCell& c = b.cells[slot];
             ++flush.cells;
             if (c.state == CellState::Empty) {
                 // Key absent at this level and every level below (see
@@ -485,7 +478,7 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
             resume_block = block;
             resume_level = level;
         }
-        block = child(block, sb);
+        block = b.children[sb];
         ++level;
     }
     return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{}, 0,
@@ -512,6 +505,7 @@ void EdgeblockArray::insert_new(std::uint32_t& top, VertexId dst,
     std::uint32_t level = start_block == kNoBlock ? 0 : start_level;
     EdgeCell carry{dst, weight, new_cal_pos, 0, CellState::Occupied};
     for (;;) {
+        const BlockView b = view(block);
         const std::uint32_t sb = sb_of(carry.dst, level);
         const std::uint32_t sb_base = sb * subblock_;
         std::uint32_t home = home_of(carry.dst, level);
@@ -520,14 +514,14 @@ void EdgeblockArray::insert_new(std::uint32_t& top, VertexId dst,
         while (dist < subblock_) {
             const std::uint32_t slot =
                 sb_base + ((home + dist) & (subblock_ - 1));
-            EdgeCell& resident = cell(block, slot);
+            EdgeCell& resident = b.cells[slot];
             ++flush.cells;
             if (resident.state != CellState::Occupied) {
                 carry.probe = static_cast<std::uint16_t>(dist);
                 resident = carry;
-                ++occupied_[block];
-                set_occupancy(block, slot, true);
-                set_tombstone(block, slot, false);
+                ++*b.occupied;
+                set_bit(b.masks, slot, true);
+                set_bit(b.tombs, slot, false);
                 if (cal_ != nullptr && resident.cal_pos != kNoCalPos) {
                     cal_->rebind(resident.cal_pos, CellRef{block, slot});
                 }
@@ -553,13 +547,10 @@ void EdgeblockArray::insert_new(std::uint32_t& top, VertexId dst,
         if (placed) {
             break;
         }
-        // Subblock congested: branch out (Tree-Based Hashing). NB: allocate
-        // first — allocate_block() may reallocate children_, so the child
-        // slot must be re-resolved afterwards.
-        std::uint32_t down = child(block, sb);
+        // Subblock congested: branch out (Tree-Based Hashing).
+        std::uint32_t& down = b.children[sb];
         if (down == kNoBlock) {
             down = allocate_block();
-            child(block, sb) = down;
             ++flush.branch_outs;
         }
         block = down;
@@ -587,21 +578,21 @@ bool EdgeblockArray::extract_deepest(std::uint32_t block, EdgeCell& out) {
         free_subtree(c);
         c = kNoBlock;
     }
-    if (occupied_[block] == 0) {
+    const BlockView b = view(block);
+    if (*b.occupied == 0) {
         return false;
     }
-    const std::size_t base = static_cast<std::size_t>(block) * pagewidth_;
     for (std::uint32_t i = 0; i < pagewidth_; ++i) {
-        EdgeCell& c = cells_[base + i];
+        EdgeCell& c = b.cells[i];
         if (c.state == CellState::Occupied) {
             out = c;
             c = EdgeCell{};
-            --occupied_[block];
-            set_occupancy(block, i, false);
+            --*b.occupied;
+            set_bit(b.masks, i, false);
             return true;
         }
     }
-    assert(false && "occupied_ count out of sync");
+    assert(false && "occupied count out of sync");
     return false;
 }
 
@@ -623,9 +614,10 @@ void EdgeblockArray::refill_hole(std::uint32_t block, std::uint32_t sb,
     const std::uint32_t home = home_of(victim.dst, level);
     victim.probe = static_cast<std::uint16_t>((off + subblock_ - home) &
                                               (subblock_ - 1));
-    cell(block, slot) = victim;
-    ++occupied_[block];
-    set_occupancy(block, slot, true);
+    const BlockView b = view(block);
+    b.cells[slot] = victim;
+    ++*b.occupied;
+    set_bit(b.masks, slot, true);
     if (cal_ != nullptr && victim.cal_pos != kNoCalPos) {
         cal_->rebind(victim.cal_pos, CellRef{block, slot});
     }
@@ -642,22 +634,21 @@ EdgeblockArray::EraseResult EdgeblockArray::erase(std::uint32_t& top,
     if (!loc) {
         return EraseResult{};
     }
-    EdgeCell& c = cell(loc->block, loc->slot);
+    const BlockView b = view(loc->block);
+    EdgeCell& c = b.cells[loc->slot];
     const std::uint32_t cal_pos = c.cal_pos;
     const Weight weight = c.weight;
+    --*b.occupied;
+    set_bit(b.masks, loc->slot, false);
     if (!compact_delete_) {
         // Delete-only: tombstone the cell; probing sees the slot as vacant
         // for future inserts but nothing shrinks.
         c.state = CellState::Tombstone;
         c.cal_pos = kNoCalPos;
-        --occupied_[loc->block];
-        set_occupancy(loc->block, loc->slot, false);
-        set_tombstone(loc->block, loc->slot, true);
+        set_bit(b.tombs, loc->slot, true);
         return EraseResult{true, cal_pos, weight};
     }
     c = EdgeCell{};
-    --occupied_[loc->block];
-    set_occupancy(loc->block, loc->slot, false);
     refill_hole(loc->block, loc->sb, loc->slot, loc->level);
     // Prune the now-possibly-empty tail of the hash path so the structure
     // keeps shrinking as the graph shrinks (paper: "the data structure
@@ -709,20 +700,19 @@ void EdgeblockArray::prefetch_probe(std::uint32_t top,
     // The first probe of (top, dst) reads the level-0 subblock's cells and
     // the block's mask words; warm both. Two lines cover 8 cells — the
     // default subblock.
-    const std::uint32_t sb_base = sb_of(dst, 0) * subblock_;
-    const EdgeCell* cells =
-        &cells_[static_cast<std::size_t>(top) * pagewidth_ + sb_base];
+    const BlockView b = view(top);
+    const std::uint32_t sb = sb_of(dst, 0);
+    const EdgeCell* cells = b.cells + sb * subblock_;
     // Write intent: an insert fills a cell in this window, and fetching the
-    // line exclusive up front avoids a second coherence transition.
+    // line exclusive up front avoids a second coherence transition. The
+    // arena is 64-byte aligned, so these two lines are the whole subblock.
     simd::prefetch_write(cells);
     simd::prefetch_write(cells + 4);
-    simd::prefetch(&masks_[static_cast<std::size_t>(top) * words_per_block_]);
-    simd::prefetch(
-        &tomb_masks_[static_cast<std::size_t>(top) * words_per_block_]);
+    simd::prefetch(b.masks);
+    simd::prefetch(b.tombs);
     // Warm the child pointer too so the second prefetch stage
     // (prefetch_probe_child) can read it without its own miss.
-    simd::prefetch(&children_[static_cast<std::size_t>(top) * spb_ +
-                              sb_of(dst, 0)]);
+    simd::prefetch(b.children + sb);
 }
 
 void EdgeblockArray::prefetch_probe_child(std::uint32_t top,
@@ -730,28 +720,27 @@ void EdgeblockArray::prefetch_probe_child(std::uint32_t top,
     if (top == kNoBlock || top >= block_count_) {
         return;
     }
+    const BlockView b = view(top);
     const std::uint32_t sb0 = sb_of(dst, 0);
     // Only chase the child when the level-0 window is full: that is the
     // only case where the probe descends, and the masks are already cached
     // from the first prefetch stage, so this peek is (nearly) free.
-    const WindowBits bits = window_bits(top, sb0 * subblock_);
+    const WindowBits bits = window_bits(b, sb0 * subblock_);
     const std::uint64_t full =
         subblock_ >= 64 ? ~0ULL : (1ULL << subblock_) - 1;
     if (bits.occ != full) {
         return;
     }
-    const std::uint32_t c = child(top, sb0);
+    const std::uint32_t c = b.children[sb0];
     if (c == kNoBlock || c >= block_count_) {
         return;
     }
-    const std::uint32_t sb_base = sb_of(dst, 1) * subblock_;
-    const EdgeCell* cells =
-        &cells_[static_cast<std::size_t>(c) * pagewidth_ + sb_base];
+    const BlockView cb = view(c);
+    const EdgeCell* cells = cb.cells + sb_of(dst, 1) * subblock_;
     simd::prefetch_write(cells);
     simd::prefetch_write(cells + 4);
-    simd::prefetch(&masks_[static_cast<std::size_t>(c) * words_per_block_]);
-    simd::prefetch(
-        &tomb_masks_[static_cast<std::size_t>(c) * words_per_block_]);
+    simd::prefetch(cb.masks);
+    simd::prefetch(cb.tombs);
 }
 
 EdgeblockArray::TreeLoad EdgeblockArray::tree_load(std::uint32_t top) const {
@@ -761,19 +750,17 @@ EdgeblockArray::TreeLoad EdgeblockArray::tree_load(std::uint32_t top) const {
     }
     std::vector<std::uint32_t> stack{top};
     while (!stack.empty()) {
-        const std::uint32_t block = stack.back();
+        const BlockView b = view(stack.back());
         stack.pop_back();
         ++load.blocks;
-        load.live += occupied_[block];
-        const std::size_t mbase =
-            static_cast<std::size_t>(block) * words_per_block_;
+        load.live += *b.occupied;
         for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-            load.tombstones += static_cast<std::uint32_t>(
-                std::popcount(tomb_masks_[mbase + w]));
+            load.tombstones +=
+                static_cast<std::uint32_t>(std::popcount(b.tombs[w]));
         }
         for (std::uint32_t s = 0; s < spb_; ++s) {
-            if (child(block, s) != kNoBlock) {
-                stack.push_back(child(block, s));
+            if (b.children[s] != kNoBlock) {
+                stack.push_back(b.children[s]);
             }
         }
     }
@@ -794,9 +781,9 @@ std::uint32_t EdgeblockArray::rebuild_tree(std::uint32_t& top) {
     while (!stack.empty()) {
         const std::uint32_t block = stack.back();
         stack.pop_back();
-        const std::size_t base = static_cast<std::size_t>(block) * pagewidth_;
+        const BlockView b = view(block);
         for (std::uint32_t i = 0; i < pagewidth_; ++i) {
-            const EdgeCell& c = cells_[base + i];
+            const EdgeCell& c = b.cells[i];
             if (c.state == CellState::Occupied) {
                 live.push_back(c);
             } else if (c.state == CellState::Tombstone) {
@@ -804,13 +791,11 @@ std::uint32_t EdgeblockArray::rebuild_tree(std::uint32_t& top) {
             }
         }
         for (std::uint32_t s = 0; s < spb_; ++s) {
-            std::uint32_t& down = child(block, s);
-            if (down != kNoBlock) {
-                stack.push_back(down);
-                down = kNoBlock;
+            if (b.children[s] != kNoBlock) {
+                stack.push_back(b.children[s]);
             }
         }
-        occupied_[block] = 0;
+        *b.occupied = 0;
         free_block(block);
     }
     top = kNoBlock;
@@ -827,9 +812,10 @@ std::uint32_t EdgeblockArray::rebuild_tree(std::uint32_t& top) {
 }
 
 std::uint32_t EdgeblockArray::subtree_live(std::uint32_t block) const {
-    std::uint32_t live = occupied_[block];
+    const BlockView b = view(block);
+    std::uint32_t live = *b.occupied;
     for (std::uint32_t s = 0; s < spb_; ++s) {
-        const std::uint32_t down = child(block, s);
+        const std::uint32_t down = b.children[s];
         if (down != kNoBlock) {
             live += subtree_live(down);
         }
@@ -875,20 +861,21 @@ std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block,
         // (the branch-out that created it proves so), so each may legally
         // take any free slot; recompute the displacement bookkeeping as
         // refill_hole does.
+        const BlockView b = view(block);
         EdgeCell victim{};
         std::uint32_t off = 0;
         while (down != kNoBlock && extract_deepest(down, victim)) {
-            while (cell(block, sb_base + off).state == CellState::Occupied) {
+            while (b.cells[sb_base + off].state == CellState::Occupied) {
                 ++off;
             }
             const std::uint32_t slot = sb_base + off;
             const std::uint32_t home = home_of(victim.dst, level);
             victim.probe = static_cast<std::uint16_t>(
                 (off + subblock_ - home) & (subblock_ - 1));
-            cell(block, slot) = victim;
-            ++occupied_[block];
-            set_occupancy(block, slot, true);
-            set_tombstone(block, slot, false);
+            b.cells[slot] = victim;
+            ++*b.occupied;
+            set_bit(b.masks, slot, true);
+            set_bit(b.tombs, slot, false);
             if (cal_ != nullptr && victim.cal_pos != kNoCalPos) {
                 cal_->rebind(victim.cal_pos, CellRef{block, slot});
             }
@@ -919,10 +906,11 @@ Stats EdgeblockArray::stats() const noexcept {
 
 std::uint64_t EdgeblockArray::tombstones_in_arena() const noexcept {
     std::uint64_t total = 0;
-    const std::size_t words =
-        static_cast<std::size_t>(block_count_) * words_per_block_;
-    for (std::size_t w = 0; w < words; ++w) {
-        total += static_cast<std::uint64_t>(std::popcount(tomb_masks_[w]));
+    for (std::uint32_t block = 0; block < block_count_; ++block) {
+        const std::uint64_t* tombs = arena_.at<kTombs>(block);
+        for (std::uint32_t w = 0; w < words_per_block_; ++w) {
+            total += static_cast<std::uint64_t>(std::popcount(tombs[w]));
+        }
     }
     return total;
 }

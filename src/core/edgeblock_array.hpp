@@ -21,7 +21,10 @@
 // Blocks live in one pooled arena: callers (GraphTinker) hold a top-block
 // handle per dense source vertex. The structure never stores source ids —
 // ownership is implied by the handle, exactly as the paper's main-region
-// indexing implies it.
+// indexing implies it. The arena is a util/chunked_arena.hpp store: chunks
+// of doubling size, 64-byte aligned, so growth appends a chunk instead of
+// copying the pool, blocks never move once handed out, and a default 8-cell
+// subblock spans exactly two cache lines.
 #pragma once
 
 #include <bit>
@@ -33,6 +36,7 @@
 #include "core/cal.hpp"
 #include "core/config.hpp"
 #include "obs/metrics.hpp"
+#include "util/chunked_arena.hpp"
 #include "util/hash.hpp"
 #include "util/types.hpp"
 #include "util/visit.hpp"
@@ -141,9 +145,9 @@ public:
     /// probe/cascade that follows cannot hit an allocation failure after it
     /// has started mutating cells (one insert allocates at most one block —
     /// a branch-out's fresh child absorbs the carried edge immediately).
-    /// All throwing work (the "eba.grow" fail point and the backing-vector
-    /// resizes) happens here, before any structural mutation, which is what
-    /// makes a mid-batch allocation failure cleanly roll-backable.
+    /// All throwing work (the "eba.grow" fail point and the chunk
+    /// allocation) happens here, before any structural mutation, which is
+    /// what makes a mid-batch allocation failure cleanly roll-backable.
     void ensure_block_available();
 
     /// Erase-path counterpart: keeps the block free-list able to absorb
@@ -158,11 +162,12 @@ public:
     /// Writes a new edge into the cell pinned by probe_insert (PlaceAt).
     void place_at(CellRef ref, VertexId dst, Weight weight,
                   std::uint16_t probe, std::uint32_t cal_pos) {
-        EdgeCell& c = cell(ref.block, ref.slot);
-        c = EdgeCell{dst, weight, cal_pos, probe, CellState::Occupied};
-        ++occupied_[ref.block];
-        set_occupancy(ref.block, ref.slot, true);
-        set_tombstone(ref.block, ref.slot, false);
+        const BlockView b = view(ref.block);
+        b.cells[ref.slot] =
+            EdgeCell{dst, weight, cal_pos, probe, CellState::Occupied};
+        ++*b.occupied;
+        set_bit(b.masks, ref.slot, true);
+        set_bit(b.tombs, ref.slot, false);
     }
 
     /// Software-prefetches the state a FIND/INSERT probe of (`top`, `dst`)
@@ -260,29 +265,24 @@ public:
         const std::size_t sbase = visit_stack_.size();
         visit_stack_.push_back(top);
         while (visit_stack_.size() > sbase) {
-            const std::uint32_t block = visit_stack_.back();
+            const BlockView b = view(visit_stack_.back());
             visit_stack_.pop_back();
-            const std::size_t base =
-                static_cast<std::size_t>(block) * pagewidth_;
-            const std::size_t mbase =
-                static_cast<std::size_t>(block) * words_per_block_;
             for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-                std::uint64_t bits = masks_[mbase + w];
+                std::uint64_t bits = b.masks[w];
                 while (bits != 0) {
                     const auto i = static_cast<std::uint32_t>(
                         std::countr_zero(bits));
                     bits &= bits - 1;
-                    const EdgeCell& c = cells_[base + w * 64 + i];
+                    const EdgeCell& c = b.cells[w * 64 + i];
                     if (!visit_step(fn, c.dst, c.weight)) {
                         visit_stack_.resize(sbase);
                         return false;
                     }
                 }
             }
-            const std::size_t cbase = static_cast<std::size_t>(block) * spb_;
             for (std::uint32_t s = 0; s < spb_; ++s) {
-                if (children_[cbase + s] != kNoBlock) {
-                    visit_stack_.push_back(children_[cbase + s]);
+                if (b.children[s] != kNoBlock) {
+                    visit_stack_.push_back(b.children[s]);
                 }
             }
         }
@@ -300,15 +300,16 @@ public:
         while (!stack.empty()) {
             const std::uint32_t block = stack.back();
             stack.pop_back();
+            const BlockView b = view(block);
             for (std::uint32_t i = 0; i < pagewidth_; ++i) {
-                const EdgeCell& c = cell(block, i);
+                const EdgeCell& c = b.cells[i];
                 if (c.state == CellState::Occupied) {
                     fn(CellRef{block, i}, c);
                 }
             }
             for (std::uint32_t s = 0; s < spb_; ++s) {
-                if (child(block, s) != kNoBlock) {
-                    stack.push_back(child(block, s));
+                if (b.children[s] != kNoBlock) {
+                    stack.push_back(b.children[s]);
                 }
             }
         }
@@ -331,7 +332,8 @@ public:
     /// Bytes of arena storage actually allocated (the capacity high-water
     /// mark): in-use blocks plus free-listed blocks plus growth slack.
     [[nodiscard]] std::size_t memory_capacity_bytes() const noexcept {
-        return static_cast<std::size_t>(storage_blocks_) * bytes_per_block();
+        return static_cast<std::size_t>(arena_.capacity()) *
+               bytes_per_block();
     }
     /// \deprecated Compatibility shim (PR 4): assembles the legacy Stats
     /// struct from the obs registry counters. New code should resolve
@@ -374,24 +376,49 @@ public:
     [[nodiscard]] std::uint32_t subtree_depth(std::uint32_t top) const;
     /// Live cells in one block.
     [[nodiscard]] std::uint32_t occupied_in(std::uint32_t block) const {
-        return occupied_[block];
+        return *arena_.at<kOccupied>(block);
     }
     [[nodiscard]] std::uint32_t pagewidth() const noexcept { return pagewidth_; }
 
 private:
+    // Arena planes: the cells, then the per-block metadata (child handle
+    // per subblock, occupied count, occupancy and tombstone mask words).
+    enum Plane : std::size_t { kCells, kChildren, kOccupied, kMasks, kTombs };
+    using Arena = ChunkedArena<EdgeCell, std::uint32_t, std::uint32_t,
+                               std::uint64_t, std::uint64_t>;
+    /// The first chunk's size when no reserve_edges sizing is given.
+    static constexpr std::uint32_t kFirstChunkBlocks = 64;
+
+    /// One block's planes, resolved once; the hot paths resolve a block per
+    /// probe level and index the planes directly. The pointers are mutable
+    /// even from const members, which only read through them.
+    struct BlockView {
+        EdgeCell* cells;
+        std::uint32_t* children;
+        std::uint32_t* occupied;
+        std::uint64_t* masks;
+        std::uint64_t* tombs;
+    };
+    [[nodiscard]] BlockView view(std::uint32_t block) const noexcept {
+        const Arena::Pos pos = arena_.locate(block);
+        return BlockView{arena_.at<kCells>(pos), arena_.at<kChildren>(pos),
+                         arena_.at<kOccupied>(pos), arena_.at<kMasks>(pos),
+                         arena_.at<kTombs>(pos)};
+    }
+
     [[nodiscard]] EdgeCell& cell(std::uint32_t block, std::uint32_t slot) {
-        return cells_[static_cast<std::size_t>(block) * pagewidth_ + slot];
+        return arena_.at<kCells>(block)[slot];
     }
     [[nodiscard]] const EdgeCell& cell(std::uint32_t block,
                                        std::uint32_t slot) const {
-        return cells_[static_cast<std::size_t>(block) * pagewidth_ + slot];
+        return arena_.at<kCells>(block)[slot];
     }
     [[nodiscard]] std::uint32_t& child(std::uint32_t block, std::uint32_t sb) {
-        return children_[static_cast<std::size_t>(block) * spb_ + sb];
+        return arena_.at<kChildren>(block)[sb];
     }
     [[nodiscard]] std::uint32_t child(std::uint32_t block,
                                       std::uint32_t sb) const {
-        return children_[static_cast<std::size_t>(block) * spb_ + sb];
+        return arena_.at<kChildren>(block)[sb];
     }
 
     /// Tree-Based Hashing: one mixed hash per (dst, level) supplies both the
@@ -426,11 +453,13 @@ private:
     }
 
     std::uint32_t allocate_block();
-    /// Grows the backing vectors to `target` blocks of storage. The only
-    /// place the arena's vectors reallocate; may throw std::bad_alloc, in
-    /// which case no arena state has changed (sizes only ever grow, and
-    /// block_count_ is untouched).
-    void grow_storage(std::uint32_t target);
+    /// Appends one arena chunk. May throw (std::bad_alloc, or
+    /// std::length_error once block ids run out), in which case no arena
+    /// state has changed.
+    void grow_storage();
+    /// Resets a block to the free state: EMPTY cells, no children, zero
+    /// counts and masks.
+    void clear_block(std::uint32_t block) noexcept;
     void free_block(std::uint32_t block);
     void free_subtree(std::uint32_t block);
     /// Total live cells under `block`'s subtree.
@@ -459,21 +488,9 @@ private:
     std::uint32_t words_per_block_;  // occupancy-mask words per block
     CoarseAdjacencyList* cal_;
 
-    void set_occupancy(std::uint32_t block, std::uint32_t slot, bool on) {
-        std::uint64_t& word =
-            masks_[static_cast<std::size_t>(block) * words_per_block_ +
-                   slot / 64];
-        if (on) {
-            word |= 1ULL << (slot % 64);
-        } else {
-            word &= ~(1ULL << (slot % 64));
-        }
-    }
-
-    void set_tombstone(std::uint32_t block, std::uint32_t slot, bool on) {
-        std::uint64_t& word =
-            tomb_masks_[static_cast<std::size_t>(block) * words_per_block_ +
-                        slot / 64];
+    static void set_bit(std::uint64_t* words, std::uint32_t slot,
+                        bool on) noexcept {
+        std::uint64_t& word = words[slot / 64];
         if (on) {
             word |= 1ULL << (slot % 64);
         } else {
@@ -489,27 +506,23 @@ private:
         std::uint64_t occ;
         std::uint64_t tomb;
     };
-    [[nodiscard]] WindowBits window_bits(std::uint32_t block,
+    [[nodiscard]] WindowBits window_bits(const BlockView& b,
                                          std::uint32_t sb_base) const {
-        const std::size_t word =
-            static_cast<std::size_t>(block) * words_per_block_ + sb_base / 64;
+        const std::uint32_t word = sb_base / 64;
         const std::uint32_t shift = sb_base % 64;
         const std::uint64_t wmask =
             subblock_ >= 64 ? ~0ULL : (1ULL << subblock_) - 1;
-        return WindowBits{(masks_[word] >> shift) & wmask,
-                          (tomb_masks_[word] >> shift) & wmask};
+        return WindowBits{(b.masks[word] >> shift) & wmask,
+                          (b.tombs[word] >> shift) & wmask};
     }
 
-    std::vector<EdgeCell> cells_;
-    std::vector<std::uint32_t> children_;
-    std::vector<std::uint32_t> occupied_;
-    std::vector<std::uint64_t> masks_;
-    std::vector<std::uint64_t> tomb_masks_;  // bit set = Tombstone cell
+    Arena arena_;
     std::vector<std::uint32_t> free_blocks_;
+    /// Blocks handed out so far (in use or free-listed).
     std::uint32_t block_count_ = 0;
-    /// Blocks the backing vectors currently have storage for
-    /// (>= block_count_; the arena grows in chunks, not per block).
-    std::uint32_t storage_blocks_ = 0;
+    /// Blocks below this index were cleared ahead of use (the reserve_edges
+    /// pre-size); allocate_block clears every fresh block at or above it.
+    std::uint64_t cleared_ = 0;
     // Telemetry: counters/histograms live in the registry (relaxed atomics,
     // so const FIND paths may be shared by concurrent readers); metrics_
     // caches the typed handles resolved once at construction.

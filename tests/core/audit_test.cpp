@@ -159,6 +159,15 @@ TEST(Audit, DetectsOccupancyDrift) {
         << report.to_string();
 }
 
+TEST(Audit, DetectsCalChainCountDrift) {
+    GraphTinker g(small_config());
+    load_dense(g);
+    ASSERT_TRUE(CorruptionInjector::corrupt_chain_count(g));
+    const AuditReport report = g.audit();
+    ASSERT_FALSE(report.ok());
+    EXPECT_TRUE(report.has(AuditCheck::CalChain)) << report.to_string();
+}
+
 TEST(Audit, ReportTruncatesInsteadOfExploding) {
     GraphTinker g(small_config());
     load_dense(g, 32, 2000);
