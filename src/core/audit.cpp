@@ -14,6 +14,8 @@ std::string_view to_string(AuditCheck check) noexcept {
             return "tbh-structure";
         case AuditCheck::TbhOrphan:
             return "tbh-orphan";
+        case AuditCheck::SmallTier:
+            return "small-tier";
         case AuditCheck::Occupancy:
             return "occupancy";
         case AuditCheck::RhhPlacement:
@@ -115,19 +117,22 @@ private:
 
     void audit_tree_and_cells() {
         const std::size_t blocks = eba_.block_count_;
-        std::vector<std::uint8_t> reached(blocks, 0);
-        std::vector<std::uint8_t> free_flag(blocks, 0);
+        const std::size_t smalls = eba_.small_count_;
+        reached_.assign(blocks, 0);
+        free_flag_.assign(blocks, 0);
+        small_reached_.assign(smalls, 0);
+        small_free_flag_.assign(smalls, 0);
         for (const std::uint32_t b : eba_.free_blocks_) {
             if (b >= blocks) {
                 add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
                     "free list holds out-of-range block " + std::to_string(b));
                 continue;
             }
-            if (free_flag[b]) {
+            if (free_flag_[b]) {
                 add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
                     "block " + std::to_string(b) + " free-listed twice");
             }
-            free_flag[b] = 1;
+            free_flag_[b] = 1;
             for (std::uint32_t s = 0; s < eba_.spb_; ++s) {
                 if (eba_.child(b, s) != EdgeblockArray::kNoBlock) {
                     add(AuditCheck::TbhStructure, kInvalidVertex,
@@ -137,14 +142,28 @@ private:
                             std::to_string(s));
                 }
             }
-            audit_free_block(b);
+            audit_free_block(b, AuditCheck::TbhStructure);
+        }
+        for (const std::uint32_t h : eba_.small_free_) {
+            const std::uint32_t i = h & ~EdgeblockArray::kSmallTag;
+            if (!EdgeblockArray::is_small(h) || i >= smalls) {
+                add(AuditCheck::SmallTier, kInvalidVertex, kInvalidVertex,
+                    "small free list holds bad handle " + std::to_string(h));
+                continue;
+            }
+            if (small_free_flag_[i]) {
+                add(AuditCheck::SmallTier, kInvalidVertex, kInvalidVertex,
+                    "small block " + std::to_string(i) +
+                        " free-listed twice");
+            }
+            small_free_flag_[i] = 1;
+            audit_free_block(h, AuditCheck::SmallTier);
         }
 
         for (VertexId dense = 0; dense < g_.top_.size(); ++dense) {
             ++report_.vertices_audited;
             const VertexId raw = g_.raw_of(dense);
-            const EdgeCount cells = walk_vertex(dense, raw, reached,
-                                                free_flag);
+            const EdgeCount cells = walk_vertex(dense, raw);
             total_cells_ += cells;
             const std::uint32_t degree =
                 dense < g_.props_.size() ? g_.props_[dense].degree : 0;
@@ -156,49 +175,112 @@ private:
         }
 
         for (std::uint32_t b = 0; b < blocks; ++b) {
-            if (!free_flag[b] && reached[b] == 0) {
+            if (!free_flag_[b] && reached_[b] == 0) {
                 add(AuditCheck::TbhOrphan, kInvalidVertex, kInvalidVertex,
                     "allocated block " + std::to_string(b) +
                         " unreachable from every top parent");
             }
         }
+        for (std::uint32_t i = 0; i < smalls; ++i) {
+            if (!small_free_flag_[i] && small_reached_[i] == 0) {
+                add(AuditCheck::TbhOrphan, kInvalidVertex, kInvalidVertex,
+                    "allocated small block " + std::to_string(i) +
+                        " unreachable from every top parent");
+            }
+        }
     }
 
-    /// Reclaimed blocks must be scrubbed clean: free_block clears the cells
-    /// and both mask planes, and allocate_block recycles them without
+    /// Reclaimed blocks must be scrubbed clean: free_block/free_small clear
+    /// the cells and both mask planes, and allocation recycles them without
     /// re-clearing — a dirty free block would leak stale edges (or
     /// tombstones) straight into the next tree built on top of it.
-    void audit_free_block(std::uint32_t b) {
+    void audit_free_block(std::uint32_t b, AuditCheck check) {
         const auto view = eba_.view(b);
+        const auto name = [b] {
+            return EdgeblockArray::is_small(b)
+                       ? "free small block " +
+                             std::to_string(b & ~EdgeblockArray::kSmallTag)
+                       : "free block " + std::to_string(b);
+        };
         if (*view.occupied != 0) {
-            add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
-                "free block " + std::to_string(b) + " counts " +
-                    std::to_string(*view.occupied) + " occupied cells");
+            add(check, kInvalidVertex, kInvalidVertex,
+                name() + " counts " + std::to_string(*view.occupied) +
+                    " occupied cells");
         }
-        for (std::uint32_t w = 0; w < eba_.words_per_block_; ++w) {
+        for (std::uint32_t w = 0; w < EdgeblockArray::words(view); ++w) {
             if (view.masks[w] != 0 || view.tombs[w] != 0) {
-                add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
-                    "free block " + std::to_string(b) +
-                        " has non-empty occupancy/tombstone masks");
+                add(check, kInvalidVertex, kInvalidVertex,
+                    name() + " has non-empty occupancy/tombstone masks");
                 break;
             }
         }
-        for (std::uint32_t slot = 0; slot < eba_.pagewidth_; ++slot) {
+        for (std::uint32_t slot = 0; slot < view.ncells; ++slot) {
             if (view.cells[slot].state != CellState::Empty) {
-                add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
-                    "free block " + std::to_string(b) +
-                        " holds a non-EMPTY cell at slot " +
+                add(check, kInvalidVertex, kInvalidVertex,
+                    name() + " holds a non-EMPTY cell at slot " +
                         std::to_string(slot));
                 break;
             }
         }
     }
 
+    /// Marks `block` reached from `raw`'s tree at `level`; false (with the
+    /// violation reported) when the walk must not enter it.
+    bool enter(VertexId raw, std::uint32_t block, std::uint32_t level) {
+        const auto where = [level] {
+            return " (level " + std::to_string(level) + ")";
+        };
+        if (!EdgeblockArray::is_small(block)) {
+            if (block >= eba_.block_count_) {
+                add(AuditCheck::TbhStructure, raw, kInvalidVertex,
+                    "handle " + std::to_string(block) +
+                        " outside the arena" + where());
+                return false;
+            }
+            if (free_flag_[block]) {
+                add(AuditCheck::TbhStructure, raw, kInvalidVertex,
+                    "reachable block " + std::to_string(block) +
+                        " is on the free list");
+                return false;
+            }
+            if (reached_[block]++ != 0) {
+                add(AuditCheck::TbhStructure, raw, kInvalidVertex,
+                    "block " + std::to_string(block) +
+                        " reached twice (cycle or shared child)");
+                return false;
+            }
+            return true;
+        }
+        const std::uint32_t i = block & ~EdgeblockArray::kSmallTag;
+        if (i >= eba_.small_count_) {
+            add(AuditCheck::SmallTier, raw, kInvalidVertex,
+                "small handle " + std::to_string(i) + " outside the arena" +
+                    where());
+            return false;
+        }
+        if (level != 0) {
+            add(AuditCheck::SmallTier, raw, kInvalidVertex,
+                "small block " + std::to_string(i) + " below the root" +
+                    where());
+        }
+        if (small_free_flag_[i]) {
+            add(AuditCheck::SmallTier, raw, kInvalidVertex,
+                "reachable small block " + std::to_string(i) +
+                    " is on the free list");
+            return false;
+        }
+        if (small_reached_[i]++ != 0) {
+            add(AuditCheck::SmallTier, raw, kInvalidVertex,
+                "small block " + std::to_string(i) + " reached twice");
+            return false;
+        }
+        ++report_.small_blocks;
+        return true;
+    }
+
     /// Depth-first walk of one vertex's edgeblock tree. Returns the number
     /// of live cells seen under the tree.
-    EdgeCount walk_vertex(VertexId dense, VertexId raw,
-                          std::vector<std::uint8_t>& reached,
-                          const std::vector<std::uint8_t>& free_flag) {
+    EdgeCount walk_vertex(VertexId dense, VertexId raw) {
         const std::uint32_t top = g_.top_[dense];
         if (top == EdgeblockArray::kNoBlock) {
             return 0;
@@ -212,29 +294,14 @@ private:
         while (!stack.empty()) {
             const auto [block, level] = stack.back();
             stack.pop_back();
-            if (block >= eba_.block_count_) {
-                add(AuditCheck::TbhStructure, raw, kInvalidVertex,
-                    "handle " + std::to_string(block) +
-                        " outside the arena (level " + std::to_string(level) +
-                        ")");
-                continue;
-            }
-            if (free_flag[block]) {
-                add(AuditCheck::TbhStructure, raw, kInvalidVertex,
-                    "reachable block " + std::to_string(block) +
-                        " is on the free list");
-                continue;
-            }
-            if (reached[block]++ != 0) {
-                add(AuditCheck::TbhStructure, raw, kInvalidVertex,
-                    "block " + std::to_string(block) +
-                        " reached twice (cycle or shared child)");
-                continue;  // do not descend again
+            if (!enter(raw, block, level)) {
+                continue;  // do not descend
             }
             ++report_.blocks_audited;
             cells += audit_block(raw, top, block, level);
-            for (std::uint32_t s = 0; s < eba_.spb_; ++s) {
-                const std::uint32_t down = eba_.child(block, s);
+            const auto view = eba_.view(block);
+            for (std::uint32_t s = 0; s < view.nchildren; ++s) {
+                const std::uint32_t down = view.children[s];
                 if (down != EdgeblockArray::kNoBlock) {
                     stack.push_back(Frame{down, level + 1});
                 }
@@ -249,7 +316,23 @@ private:
                           std::uint32_t block, std::uint32_t level) {
         EdgeCount occupied = 0;
         const auto view = eba_.view(block);
-        for (std::uint32_t slot = 0; slot < eba_.pagewidth_; ++slot) {
+        if (EdgeblockArray::is_small(block)) {
+            // A small block is one subblock: no bit may name a cell past it,
+            // and its counter may never exceed it.
+            const std::uint64_t window = view.ncells >= 64
+                                             ? ~0ULL
+                                             : (1ULL << view.ncells) - 1;
+            const std::uint64_t outside =
+                ~window & (view.masks[0] | view.tombs[0]);
+            if (outside != 0 || *view.occupied > view.ncells) {
+                add(AuditCheck::SmallTier, raw, kInvalidVertex,
+                    "small block " +
+                        std::to_string(block & ~EdgeblockArray::kSmallTag) +
+                        " claims more than " + std::to_string(view.ncells) +
+                        " cells");
+            }
+        }
+        for (std::uint32_t slot = 0; slot < view.ncells; ++slot) {
             const EdgeCell& c = view.cells[slot];
             const bool is_occupied = c.state == CellState::Occupied;
             if (bit(view.masks, slot) != is_occupied) {
@@ -289,15 +372,16 @@ private:
                     const EdgeCell& c) {
         const std::uint32_t sb = slot / eba_.subblock_;
         const std::uint32_t sb_base = sb * eba_.subblock_;
+        const std::uint32_t want_sb =
+            EdgeblockArray::sb_in(eba_.view(block), c.dst, level);
 
         // Robin Hood placement: right subblock for the (dst, level) hash and
         // probe distance equal to the displacement from the home offset.
-        if (eba_.sb_of(c.dst, level) != sb) {
+        if (want_sb != sb) {
             add(AuditCheck::RhhPlacement, raw, c.dst,
                 "cell stored in subblock " + std::to_string(sb) +
-                    " but hashes to " +
-                    std::to_string(eba_.sb_of(c.dst, level)) + " at level " +
-                    std::to_string(level));
+                    " but hashes to " + std::to_string(want_sb) +
+                    " at level " + std::to_string(level));
         } else {
             const std::uint32_t home = eba_.home_of(c.dst, level);
             const std::uint32_t off = slot - sb_base;
@@ -494,8 +578,12 @@ private:
             }
             ++cal_live_;
             const std::uint32_t pos = block * cal.block_edges_ + i;
-            if (slot.owner.block >= eba_.block_count_ ||
-                slot.owner.slot >= eba_.pagewidth_) {
+            const std::uint32_t owner = slot.owner.block;
+            const bool small = EdgeblockArray::is_small(owner);
+            if ((small ? (owner & ~EdgeblockArray::kSmallTag) >=
+                             eba_.small_count_
+                       : owner >= eba_.block_count_) ||
+                slot.owner.slot >= (small ? eba_.subblock_ : eba_.pagewidth_)) {
                 add(AuditCheck::CalReverse, slot.src, slot.dst,
                     "CAL slot " + std::to_string(pos) +
                         " owner reference outside the arena");
@@ -574,6 +662,11 @@ private:
     const GraphTinker& g_;
     const EdgeblockArray& eba_;
     AuditReport report_;
+    // Per-tier walk state: reached counts and free-list membership.
+    std::vector<std::uint8_t> reached_;
+    std::vector<std::uint8_t> free_flag_;
+    std::vector<std::uint8_t> small_reached_;
+    std::vector<std::uint8_t> small_free_flag_;
     EdgeCount total_cells_ = 0;
     EdgeCount cal_live_ = 0;
 };
@@ -588,13 +681,9 @@ std::uint64_t Auditor::arena_digest(const GraphTinker& graph) {
         h = mix64(h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
     };
     const EdgeblockArray& eba = graph.eba_;
-    feed(eba.block_count_);
-    for (const std::uint32_t b : eba.free_blocks_) {
-        feed(b);
-    }
-    for (std::uint32_t block = 0; block < eba.block_count_; ++block) {
+    const auto feed_block = [&](std::uint32_t block) {
         const auto view = eba.view(block);
-        for (std::uint32_t i = 0; i < eba.pagewidth_; ++i) {
+        for (std::uint32_t i = 0; i < view.ncells; ++i) {
             const EdgeCell& c = view.cells[i];
             feed(c.dst);
             feed(c.weight);
@@ -602,14 +691,28 @@ std::uint64_t Auditor::arena_digest(const GraphTinker& graph) {
             feed(c.probe);
             feed(static_cast<std::uint64_t>(c.state));
         }
-        for (std::uint32_t s = 0; s < eba.spb_; ++s) {
+        for (std::uint32_t s = 0; s < view.nchildren; ++s) {
             feed(view.children[s]);
         }
         feed(*view.occupied);
-        for (std::uint32_t w = 0; w < eba.words_per_block_; ++w) {
+        for (std::uint32_t w = 0; w < EdgeblockArray::words(view); ++w) {
             feed(view.masks[w]);
             feed(view.tombs[w]);
         }
+    };
+    feed(eba.block_count_);
+    for (const std::uint32_t b : eba.free_blocks_) {
+        feed(b);
+    }
+    for (std::uint32_t block = 0; block < eba.block_count_; ++block) {
+        feed_block(block);
+    }
+    feed(eba.small_count_);
+    for (const std::uint32_t h : eba.small_free_) {
+        feed(h);
+    }
+    for (std::uint32_t i = 0; i < eba.small_count_; ++i) {
+        feed_block(i | EdgeblockArray::kSmallTag);
     }
     const CoarseAdjacencyList& cal = graph.cal_;
     feed(cal.block_count_);
@@ -686,38 +789,58 @@ bool CorruptionInjector::corrupt_probe(GraphTinker& graph, VertexId src,
     return true;
 }
 
-bool CorruptionInjector::orphan_child(GraphTinker& graph, VertexId src) {
+std::uint32_t CorruptionInjector::full_top_of(const GraphTinker& graph,
+                                              VertexId src) {
     const auto dense = graph.dense_of(src);
-    if (!dense || graph.top_[*dense] == EdgeblockArray::kNoBlock) {
+    if (!dense) {
+        return EdgeblockArray::kNoBlock;
+    }
+    const std::uint32_t top = graph.top_[*dense];
+    return EdgeblockArray::is_small(top) ? EdgeblockArray::kNoBlock : top;
+}
+
+bool CorruptionInjector::orphan_child(GraphTinker& graph, VertexId src) {
+    const std::uint32_t top = full_top_of(graph, src);
+    if (top == EdgeblockArray::kNoBlock) {
         return false;
     }
     EdgeblockArray& eba = graph.eba_;
-    std::vector<std::uint32_t> stack{graph.top_[*dense]};
-    while (!stack.empty()) {
-        const std::uint32_t block = stack.back();
-        stack.pop_back();
-        for (std::uint32_t s = 0; s < eba.spb_; ++s) {
-            std::uint32_t& down = eba.child(block, s);
-            if (down != EdgeblockArray::kNoBlock) {
-                down = EdgeblockArray::kNoBlock;
-                return true;
-            }
+    for (std::uint32_t s = 0; s < eba.spb_; ++s) {
+        std::uint32_t& down = eba.child(top, s);
+        if (down != EdgeblockArray::kNoBlock) {
+            down = EdgeblockArray::kNoBlock;
+            return true;
         }
     }
     return false;
 }
 
 bool CorruptionInjector::link_cycle(GraphTinker& graph, VertexId src) {
-    const auto dense = graph.dense_of(src);
-    if (!dense || graph.top_[*dense] == EdgeblockArray::kNoBlock) {
+    const std::uint32_t top = full_top_of(graph, src);
+    if (top == EdgeblockArray::kNoBlock) {
         return false;
     }
     EdgeblockArray& eba = graph.eba_;
-    const std::uint32_t top = graph.top_[*dense];
     for (std::uint32_t s = 0; s < eba.spb_; ++s) {
         std::uint32_t& down = eba.child(top, s);
         if (down == EdgeblockArray::kNoBlock) {
             down = top;  // the top block becomes its own descendant
+            return true;
+        }
+    }
+    return false;
+}
+
+bool CorruptionInjector::hang_small_child(GraphTinker& graph, VertexId src) {
+    const std::uint32_t top = full_top_of(graph, src);
+    if (top == EdgeblockArray::kNoBlock) {
+        return false;
+    }
+    EdgeblockArray& eba = graph.eba_;
+    for (std::uint32_t s = 0; s < eba.spb_; ++s) {
+        std::uint32_t& down = eba.child(top, s);
+        if (down == EdgeblockArray::kNoBlock) {
+            down = eba.allocate_small();  // empty, so no accounting drift
             return true;
         }
     }

@@ -17,6 +17,9 @@
 //                     shared children), and free-listed blocks are detached
 //   TBH orphans       every allocated, non-free block is reachable from some
 //                     vertex's top-parent handle (no leaked subtrees)
+//   small tier        small blocks appear only as roots, never hold more
+//                     than one subblock of cells, and are scrubbed when
+//                     free-listed
 //   occupancy         per-block occupied counters and the occupancy bitmasks
 //                     agree with the cell states they summarize
 //   RHH placement     every occupied cell sits in the subblock its (dst,
@@ -57,6 +60,7 @@ struct EdgeCell;
 enum class AuditCheck : std::uint8_t {
     TbhStructure,      // bad handle, cycle, shared child, free-list overlap
     TbhOrphan,         // allocated block unreachable from every top parent
+    SmallTier,         // small block below a root, overfull, or dirty free
     Occupancy,         // occupied counter / occupancy bitmask drift
     RhhPlacement,      // cell outside its hashed subblock or wrong probe
     RhhProbePath,      // EMPTY cell inside a live cell's probe window
@@ -102,6 +106,7 @@ struct AuditReport {
     EdgeCount live_edges = 0;    // occupied cells across reachable trees
     EdgeCount tombstones = 0;    // tombstone cells across reachable trees
     std::size_t cal_blocks = 0;  // CAL blocks reached via group chains
+    std::size_t small_blocks = 0;  // small roots reached via top handles
 
     [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
     /// True when the report contains at least one violation of `check`.
@@ -116,9 +121,10 @@ class Auditor {
 public:
     [[nodiscard]] static AuditReport run(const GraphTinker& graph);
 
-    /// Content digest of the raw arenas: every handed-out edgeblock (cells
-    /// field by field, child links, occupied count, masks) and CAL block
-    /// (slots, chain metadata), both free lists and the CAL group table.
+    /// Content digest of the raw arenas: every handed-out edgeblock of
+    /// either tier (cells field by field, child links, occupied count,
+    /// masks) and CAL block (slots, chain metadata), all free lists and the
+    /// CAL group table.
     /// Equal digests mean the arenas hold the same contents at the same
     /// block indices — tests use it to show a failed operation left the
     /// storage untouched, which an edge-set comparison cannot.
@@ -158,8 +164,14 @@ public:
     static bool vanish_cell(GraphTinker& graph, VertexId src, VertexId dst);
     /// Bumps the first CAL group's chain-length count -> CalChain.
     static bool corrupt_chain_count(GraphTinker& graph);
+    /// Hangs a fresh small block under an unused child slot of `src`'s
+    /// (full) top block, so a small block sits below a root -> SmallTier.
+    static bool hang_small_child(GraphTinker& graph, VertexId src);
 
 private:
+    /// The full top block of `src` (its child slots are what the TBH
+    /// injectors rewrite); kNoBlock when `src` has no tree or a small root.
+    static std::uint32_t full_top_of(const GraphTinker& graph, VertexId src);
     /// Locates the mutable edge-cell of (src, dst); nullptr when absent.
     static EdgeCell* locate_cell(GraphTinker& graph, VertexId src,
                                  VertexId dst);

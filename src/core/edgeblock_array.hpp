@@ -25,8 +25,21 @@
 // of doubling size, 64-byte aligned, so growth appends a chunk instead of
 // copying the pool, blocks never move once handed out, and a default 8-cell
 // subblock spans exactly two cache lines.
+//
+// Small-vertex tier (a departure from the paper's fixed top-parent block):
+// a vertex's root starts as one *small block* — a single subblock-sized
+// window with its own occupancy/tombstone masks and live count, and no
+// children — held in a second arena. Small handles carry kSmallTag, so a
+// top handle or CAL owner CellRef names either tier. When an absent edge
+// finds the small window full, the vertex is *promoted*: a full block takes
+// the residents and the new edge through the regular cascade and the small
+// block is freed. A tombstone purge that leaves at most one subblock of
+// live edges *demotes* the tree back to a small root. Only a root can be
+// small. With pagewidth == subblock the tier is off: a small block would be
+// a full block.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -58,6 +71,8 @@ struct EbaMetrics {
     obs::Counter* trees_rebuilt = nullptr;
     obs::Counter* tombstones_purged = nullptr;
     obs::Counter* unbranch_moves = nullptr;
+    obs::Counter* promotions = nullptr;
+    obs::Counter* demotions = nullptr;
     obs::Histogram* find_probe_cells = nullptr;
     obs::Histogram* insert_probe_cells = nullptr;
 };
@@ -76,6 +91,12 @@ struct EdgeCell {
 class EdgeblockArray {
 public:
     static constexpr std::uint32_t kNoBlock = 0xffffffffU;
+    /// Set on small-tier handles (kNoBlock excepted): the low bits index
+    /// the small arena. Full blocks therefore number below kSmallTag.
+    static constexpr std::uint32_t kSmallTag = 0x80000000U;
+    [[nodiscard]] static constexpr bool is_small(std::uint32_t handle) noexcept {
+        return (handle & kSmallTag) != 0 && handle != kNoBlock;
+    }
 
     /// `cal` may be null (CAL feature disabled); when set, the array keeps
     /// CAL-pointers consistent whenever cells move. `registry` names where
@@ -140,23 +161,26 @@ public:
     };
     ProbeResult probe_insert(std::uint32_t& top, VertexId dst, Weight weight);
 
-    /// Growth pre-flight for the insert path: guarantees that at least one
-    /// block can be allocated without the arena having to grow, so the
-    /// probe/cascade that follows cannot hit an allocation failure after it
-    /// has started mutating cells (one insert allocates at most one block —
-    /// a branch-out's fresh child absorbs the carried edge immediately).
+    /// Growth pre-flight for an insert under `top`: guarantees that every
+    /// block the insert can allocate is available without an arena having
+    /// to grow, so the probe/cascade that follows cannot hit an allocation
+    /// failure after it has started mutating cells. A fresh vertex needs
+    /// one root; a full tree needs one block (a branch-out's fresh child
+    /// absorbs the carried edge immediately); a small root whose window has
+    /// no EMPTY cell may promote, which needs a full block plus the one
+    /// child its re-placed edges can collide into, and a free-list slot for
+    /// the small block it gives up.
     /// All throwing work (the "eba.grow" fail point and the chunk
     /// allocation) happens here, before any structural mutation, which is
     /// what makes a mid-batch allocation failure cleanly roll-backable.
-    void ensure_block_available();
+    void ensure_block_available(std::uint32_t top);
 
-    /// Erase-path counterpart: keeps the block free-list able to absorb
-    /// every block that exists, so the (possibly several) free_block calls
-    /// a compacting erase performs can never throw mid-mutation.
+    /// Erase-path counterpart: keeps both free lists able to absorb every
+    /// block that exists, so the (possibly several) frees a compacting
+    /// erase performs can never throw mid-mutation.
     void ensure_erase_headroom() {
-        if (free_blocks_.capacity() < block_count_) {
-            free_blocks_.reserve(block_count_);
-        }
+        reserve_free_list(free_blocks_, block_count_);
+        reserve_free_list(small_free_, small_count_);
     }
 
     /// Writes a new edge into the cell pinned by probe_insert (PlaceAt).
@@ -267,7 +291,7 @@ public:
         while (visit_stack_.size() > sbase) {
             const BlockView b = view(visit_stack_.back());
             visit_stack_.pop_back();
-            for (std::uint32_t w = 0; w < words_per_block_; ++w) {
+            for (std::uint32_t w = 0; w < words(b); ++w) {
                 std::uint64_t bits = b.masks[w];
                 while (bits != 0) {
                     const auto i = static_cast<std::uint32_t>(
@@ -280,7 +304,7 @@ public:
                     }
                 }
             }
-            for (std::uint32_t s = 0; s < spb_; ++s) {
+            for (std::uint32_t s = 0; s < b.nchildren; ++s) {
                 if (b.children[s] != kNoBlock) {
                     visit_stack_.push_back(b.children[s]);
                 }
@@ -301,13 +325,13 @@ public:
             const std::uint32_t block = stack.back();
             stack.pop_back();
             const BlockView b = view(block);
-            for (std::uint32_t i = 0; i < pagewidth_; ++i) {
+            for (std::uint32_t i = 0; i < b.ncells; ++i) {
                 const EdgeCell& c = b.cells[i];
                 if (c.state == CellState::Occupied) {
                     fn(CellRef{block, i}, c);
                 }
             }
-            for (std::uint32_t s = 0; s < spb_; ++s) {
+            for (std::uint32_t s = 0; s < b.nchildren; ++s) {
                 if (b.children[s] != kNoBlock) {
                     stack.push_back(b.children[s]);
                 }
@@ -317,35 +341,56 @@ public:
 
     // ---- diagnostics / test hooks -------------------------------------
 
+    /// Full edgeblocks in use (the small tier is counted separately).
     [[nodiscard]] std::size_t blocks_in_use() const noexcept {
         return block_count_ - free_blocks_.size();
     }
     [[nodiscard]] std::size_t blocks_allocated() const noexcept {
         return block_count_;
     }
-    /// Bytes held by in-use blocks (cells + child pointers + occupancy and
-    /// tombstone masks). Free-listed blocks are excluded — this is the
-    /// footprint reclamation shrinks, not the arena's high-water mark.
-    [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        return blocks_in_use() * bytes_per_block();
+    [[nodiscard]] std::size_t small_blocks_in_use() const noexcept {
+        return small_count_ - small_free_.size();
     }
-    /// Bytes of arena storage actually allocated (the capacity high-water
-    /// mark): in-use blocks plus free-listed blocks plus growth slack.
+    [[nodiscard]] std::size_t small_blocks_allocated() const noexcept {
+        return small_count_;
+    }
+    /// Bytes per full block: cells + child handles + occupancy and
+    /// tombstone masks + the occupied counter.
+    [[nodiscard]] std::size_t full_block_bytes() const noexcept {
+        return static_cast<std::size_t>(pagewidth_) * sizeof(EdgeCell) +
+               spb_ * sizeof(std::uint32_t) +
+               2 * words_per_block_ * sizeof(std::uint64_t) +
+               sizeof(std::uint32_t);
+    }
+    /// Bytes per small block: one subblock of cells plus a header of its
+    /// two masks and its occupied counter (a word of its own); no child
+    /// handles.
+    [[nodiscard]] std::size_t small_block_bytes() const noexcept {
+        return static_cast<std::size_t>(subblock_) * sizeof(EdgeCell) +
+               (2 * small_words_ + 1) * sizeof(std::uint64_t);
+    }
+    /// Bytes held by in-use blocks of both tiers. Free-listed blocks are
+    /// excluded — this is the footprint reclamation shrinks, not the
+    /// arenas' high-water mark.
+    [[nodiscard]] std::size_t memory_bytes() const noexcept {
+        return blocks_in_use() * full_block_bytes() +
+               small_blocks_in_use() * small_block_bytes();
+    }
+    /// Bytes of arena storage actually allocated in both tiers (the
+    /// capacity high-water mark): in-use blocks plus free-listed blocks
+    /// plus growth slack.
     [[nodiscard]] std::size_t memory_capacity_bytes() const noexcept {
         return static_cast<std::size_t>(arena_.capacity()) *
-               bytes_per_block();
+                   full_block_bytes() +
+               static_cast<std::size_t>(small_.capacity()) *
+                   small_block_bytes();
     }
-    /// \deprecated Compatibility shim (PR 4): assembles the legacy Stats
-    /// struct from the obs registry counters. New code should resolve
-    /// counters from registry() (names "eba.<field>") or read a
-    /// registry().snapshot() instead.
-    [[nodiscard]] Stats stats() const noexcept;
     /// The registry this array records into (owned fallback when none was
     /// supplied at construction).
     [[nodiscard]] obs::Registry& registry() const noexcept {
         return *registry_;
     }
-    /// Tombstone cells across the whole arena (popcount of the tombstone
+    /// Tombstone cells across both arenas (popcount of the tombstone
     /// masks). Free-listed blocks are scrubbed on free, so they contribute
     /// zero — this is the live tombstone census the auditor cross-checks.
     [[nodiscard]] std::uint64_t tombstones_in_arena() const noexcept;
@@ -374,9 +419,9 @@ public:
     };
     /// Depth (generations) of the block tree under `top`; 0 for kNoBlock.
     [[nodiscard]] std::uint32_t subtree_depth(std::uint32_t top) const;
-    /// Live cells in one block.
+    /// Live cells in one block (either tier).
     [[nodiscard]] std::uint32_t occupied_in(std::uint32_t block) const {
-        return *arena_.at<kOccupied>(block);
+        return *view(block).occupied;
     }
     [[nodiscard]] std::uint32_t pagewidth() const noexcept { return pagewidth_; }
 
@@ -386,33 +431,76 @@ private:
     enum Plane : std::size_t { kCells, kChildren, kOccupied, kMasks, kTombs };
     using Arena = ChunkedArena<EdgeCell, std::uint32_t, std::uint32_t,
                                std::uint64_t, std::uint64_t>;
-    /// The first chunk's size when no reserve_edges sizing is given.
+    // Small-tier planes: one subblock of cells, then a packed header —
+    // occupancy mask words, tombstone mask words and the occupied count in
+    // one run of words, so a probe touches one header line instead of the
+    // full tier's three metadata planes.
+    enum SmallPlane : std::size_t { kSCells, kSHeader };
+    using SmallArena = ChunkedArena<EdgeCell, std::uint64_t>;
+    /// The first chunk's size (either tier) when no reserve_edges sizing is
+    /// given.
     static constexpr std::uint32_t kFirstChunkBlocks = 64;
 
-    /// One block's planes, resolved once; the hot paths resolve a block per
-    /// probe level and index the planes directly. The pointers are mutable
-    /// even from const members, which only read through them.
+    /// One block's planes and geometry, resolved once; the hot paths resolve
+    /// a block per probe level and index the planes directly. The pointers
+    /// are mutable even from const members, which only read through them.
+    /// A small root reads as a one-subblock block whose only child slot is
+    /// the shared, always-empty no_children_, so a probe walk ends there
+    /// without asking which tier it is in.
     struct BlockView {
         EdgeCell* cells;
         std::uint32_t* children;
         std::uint32_t* occupied;
         std::uint64_t* masks;
         std::uint64_t* tombs;
+        std::uint32_t ncells;     // pagewidth_, or subblock_ when small
+        std::uint32_t nchildren;  // spb_, or 0 when small
+        std::uint32_t sb_mask;    // spb_ - 1, or 0 when small
     };
+    /// Either tier, by handle tag.
     [[nodiscard]] BlockView view(std::uint32_t block) const noexcept {
+        return is_small(block) ? small_view(block) : full_view(block);
+    }
+    /// A full block: every level below a root, which is never small.
+    [[nodiscard]] BlockView full_view(std::uint32_t block) const noexcept {
         const Arena::Pos pos = arena_.locate(block);
-        return BlockView{arena_.at<kCells>(pos), arena_.at<kChildren>(pos),
+        return BlockView{arena_.at<kCells>(pos),    arena_.at<kChildren>(pos),
                          arena_.at<kOccupied>(pos), arena_.at<kMasks>(pos),
-                         arena_.at<kTombs>(pos)};
+                         arena_.at<kTombs>(pos),    pagewidth_,
+                         spb_,                      spb_ - 1};
+    }
+    [[nodiscard]] BlockView small_view(std::uint32_t handle) const noexcept {
+        const SmallArena::Pos pos = small_.locate(handle & ~kSmallTag);
+        std::uint64_t* header = small_.at<kSHeader>(pos);
+        // The count lives alone in the header's last word and is only ever
+        // accessed as a 32-bit counter.
+        return BlockView{small_.at<kSCells>(pos),
+                         &no_children_,
+                         reinterpret_cast<std::uint32_t*>(
+                             header + 2 * small_words_),
+                         header,
+                         header + small_words_,
+                         subblock_,
+                         0,
+                         0};
+    }
+    [[nodiscard]] static std::uint32_t words(const BlockView& b) noexcept {
+        return (b.ncells + 63) / 64;
+    }
+    /// Subblock `dst` hashes to at `level` within `b` (0 in a small root).
+    [[nodiscard]] static std::uint32_t sb_in(const BlockView& b, VertexId dst,
+                                             std::uint32_t level) noexcept {
+        return static_cast<std::uint32_t>(level_hash(dst, level)) & b.sb_mask;
     }
 
     [[nodiscard]] EdgeCell& cell(std::uint32_t block, std::uint32_t slot) {
-        return arena_.at<kCells>(block)[slot];
+        return view(block).cells[slot];
     }
     [[nodiscard]] const EdgeCell& cell(std::uint32_t block,
                                        std::uint32_t slot) const {
-        return arena_.at<kCells>(block)[slot];
+        return view(block).cells[slot];
     }
+    // Child links exist on full blocks only.
     [[nodiscard]] std::uint32_t& child(std::uint32_t block, std::uint32_t sb) {
         return arena_.at<kChildren>(block)[sb];
     }
@@ -445,22 +533,40 @@ private:
     [[nodiscard]] std::optional<Located> locate(std::uint32_t top,
                                                 VertexId dst) const;
 
-    [[nodiscard]] std::size_t bytes_per_block() const noexcept {
-        return static_cast<std::size_t>(pagewidth_) * sizeof(EdgeCell) +
-               spb_ * sizeof(std::uint32_t) +
-               2 * words_per_block_ * sizeof(std::uint64_t) +
-               sizeof(std::uint32_t);
-    }
-
     std::uint32_t allocate_block();
-    /// Appends one arena chunk. May throw (std::bad_alloc, or
-    /// std::length_error once block ids run out), in which case no arena
-    /// state has changed.
+    /// A small block's handle (kSmallTag set).
+    std::uint32_t allocate_small();
+    /// A fresh vertex's root: small when the tier is on, else full.
+    std::uint32_t allocate_root() {
+        return tiered_ ? allocate_small() : allocate_block();
+    }
+    /// Appends one chunk to the full (`grow_storage`) or small arena. May
+    /// throw (std::bad_alloc, or std::length_error once block ids run
+    /// out), in which case no arena state has changed.
     void grow_storage();
-    /// Resets a block to the free state: EMPTY cells, no children, zero
-    /// counts and masks.
+    void grow_small();
+    /// Resets a block of either tier to the free state: EMPTY cells, no
+    /// children, zero counts and masks.
     void clear_block(std::uint32_t block) noexcept;
     void free_block(std::uint32_t block);
+    void free_small(std::uint32_t handle);
+    /// True when the small root's window has no EMPTY cell. Only such a
+    /// root can promote: no EMPTY cell precedes a resident on its probe
+    /// path, so the cascade always reaches an EMPTY one when there is one.
+    [[nodiscard]] bool window_full(std::uint32_t small) const noexcept;
+    /// Replaces the small root `top` with a full one holding its residents
+    /// plus `carry` (the edge that found the window full). Kept out of line
+    /// and `carry` by value: inlined into insert_new, it pinned the
+    /// cascade's floating edge to memory and slowed every insert by ~15%.
+    [[gnu::noinline]] void promote(std::uint32_t& top, EdgeCell carry);
+    /// Grows `list` (geometrically) until it can hold `count` entries, so
+    /// pushes up to that size cannot throw.
+    static void reserve_free_list(std::vector<std::uint32_t>& list,
+                                  std::size_t count) {
+        if (list.capacity() < count) {
+            list.reserve(std::max(count, 2 * list.capacity()));
+        }
+    }
     void free_subtree(std::uint32_t block);
     /// Total live cells under `block`'s subtree.
     [[nodiscard]] std::uint32_t subtree_live(std::uint32_t block) const;
@@ -486,6 +592,8 @@ private:
     bool compact_delete_;
     bool kernel_ok_;  // subblock fits one mask word: bit-parallel probing
     std::uint32_t words_per_block_;  // occupancy-mask words per block
+    std::uint32_t small_words_;      // occupancy-mask words per small block
+    bool tiered_;  // small roots exist (pagewidth_ > subblock_)
     CoarseAdjacencyList* cal_;
 
     static void set_bit(std::uint64_t* words, std::uint32_t slot,
@@ -523,6 +631,13 @@ private:
     /// Blocks below this index were cleared ahead of use (the reserve_edges
     /// pre-size); allocate_block clears every fresh block at or above it.
     std::uint64_t cleared_ = 0;
+    // The small tier, kept like the full one.
+    SmallArena small_;
+    std::vector<std::uint32_t> small_free_;  // handles, tag set
+    std::uint32_t small_count_ = 0;
+    std::uint64_t small_cleared_ = 0;
+    /// The child row every small view points at: never written.
+    inline static std::uint32_t no_children_ = kNoBlock;
     // Telemetry: counters/histograms live in the registry (relaxed atomics,
     // so const FIND paths may be shared by concurrent readers); metrics_
     // caches the typed handles resolved once at construction.

@@ -119,13 +119,13 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
                                   CoarseAdjacencyList::Appender* app) {
     // Growth pre-flight: every allocation the apply below could need is
     // performed (or its capacity reserved) here, before any structural
-    // mutation — one insert allocates at most one edgeblock and one CAL
-    // block, so after these calls the probe/cascade/append below is
-    // nothrow. A failure here (real or injected via the "eba.grow" /
+    // mutation — the edgeblocks this vertex's insert can take (a root, a
+    // branch-out child, or a small root's promotion) and one CAL block, so
+    // after these calls the probe/cascade/append below is nothrow. A failure here (real or injected via the "eba.grow" /
     // "cal.grow" fail points) therefore leaves this edge un-applied and the
     // store untouched, which is what makes a mid-batch failure cleanly
     // roll-backable from the undo journal alone.
-    eba_.ensure_block_available();
+    eba_.ensure_block_available(top_[dense]);
     if (config_.enable_cal) {
         if (app != nullptr) {
             app->prepare();
@@ -764,6 +764,8 @@ obs::Snapshot GraphTinker::telemetry() const {
         .set(static_cast<double>(eba_.blocks_in_use()));
     r.gauge("eba.blocks_allocated")
         .set(static_cast<double>(eba_.blocks_allocated()));
+    r.gauge("eba.small_blocks_in_use")
+        .set(static_cast<double>(eba_.small_blocks_in_use()));
     r.gauge("eba.tombstones")
         .set(static_cast<double>(eba_.tombstones_in_arena()));
     if (config_.enable_cal) {

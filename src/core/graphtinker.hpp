@@ -12,6 +12,7 @@
 // detail of the compaction machinery.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -191,10 +192,6 @@ public:
     // ---- diagnostics -----------------------------------------------------
 
     [[nodiscard]] const Config& config() const noexcept { return config_; }
-    /// \deprecated Compatibility shim (PR 4): snapshots the legacy Stats
-    /// struct from the obs registry. Prefer obs() / telemetry() — e.g.
-    /// obs().counter("eba.cells_probed") or telemetry().counter_value().
-    [[nodiscard]] Stats stats() const noexcept { return eba_.stats(); }
     /// The store's metrics registry. Every component (EBA probe counters
     /// and histograms, CAL chain telemetry, maintenance sweeps, batch
     /// ingest latency) records here under dotted names — see the README
@@ -215,7 +212,7 @@ public:
     /// Byte-level footprint of each component (the compaction story in
     /// numbers: bytes per live edge falls as SGH/CAL keep the arena dense).
     struct MemoryFootprint {
-        std::size_t edgeblock_bytes = 0;  // cells + children + masks + meta
+        std::size_t edgeblock_bytes = 0;  // both tiers + top-handle table
         std::size_t cal_bytes = 0;        // CAL pool + chain metadata
         std::size_t sgh_bytes = 0;        // id-mapping tables
         std::size_t props_bytes = 0;      // vertex property array

@@ -13,6 +13,11 @@
 namespace gt::core {
 namespace {
 
+/// Cumulative value of one of the array's obs counters ("eba.<field>").
+std::uint64_t counter(const EdgeblockArray& eba, const char* name) {
+    return eba.registry().snapshot().counter_value(name);
+}
+
 struct GeomParam {
     std::uint32_t pagewidth;
     std::uint32_t subblock;
@@ -104,11 +109,11 @@ TEST(EbaProbeCost, SuccessfulFindIsLogarithmicInDegree) {
         for (VertexId d = 0; d < 1024; ++d) {
             eba.insert(top, d, 1);
         }
-        const auto before = eba.stats().cells_probed;
+        const auto before = counter(eba, "eba.cells_probed");
         for (VertexId d = 0; d < 1024; ++d) {
             (void)eba.find(top, d);
         }
-        small = static_cast<double>(eba.stats().cells_probed - before) / 1024;
+        small = static_cast<double>(counter(eba, "eba.cells_probed") - before) / 1024;
     }
     {
         EdgeblockArray eba(cfg, nullptr);
@@ -116,11 +121,11 @@ TEST(EbaProbeCost, SuccessfulFindIsLogarithmicInDegree) {
         for (VertexId d = 0; d < 65536; ++d) {
             eba.insert(top, d, 1);
         }
-        const auto before = eba.stats().cells_probed;
+        const auto before = counter(eba, "eba.cells_probed");
         for (VertexId d = 0; d < 65536; ++d) {
             (void)eba.find(top, d);
         }
-        large = static_cast<double>(eba.stats().cells_probed - before) /
+        large = static_cast<double>(counter(eba, "eba.cells_probed") - before) /
                 65536;
     }
     EXPECT_LT(large / small, 4.0)
@@ -203,13 +208,17 @@ TEST(EbaMemory, BytesTrackBlocksInUse) {
     EXPECT_EQ(eba.memory_bytes(), 0u);
     std::uint32_t top = EdgeblockArray::kNoBlock;
     eba.insert(top, 1, 1);
+    // A first edge takes one small root.
     const auto one_block = eba.memory_bytes();
     EXPECT_GT(one_block, 0u);
+    EXPECT_EQ(one_block, eba.small_block_bytes());
     for (VertexId d = 0; d < 2000; ++d) {
         eba.insert(top, d, 1);
     }
+    // Promoted: whole full blocks, and the small root was given back.
     EXPECT_GT(eba.memory_bytes(), one_block);
-    EXPECT_EQ(eba.memory_bytes() % one_block, 0u);  // whole blocks
+    EXPECT_EQ(eba.small_blocks_in_use(), 0u);
+    EXPECT_EQ(eba.memory_bytes() % eba.full_block_bytes(), 0u);
 }
 
 }  // namespace

@@ -10,6 +10,11 @@
 namespace gt::core {
 namespace {
 
+/// Cumulative value of one of the array's obs counters ("eba.<field>").
+std::uint64_t counter(const EdgeblockArray& eba, const char* name) {
+    return eba.registry().snapshot().counter_value(name);
+}
+
 Config small_config() {
     Config cfg;
     cfg.pagewidth = 16;
@@ -46,7 +51,7 @@ TEST(EdgeblockArray, BranchesOutWhenSubblockCongests) {
     for (VertexId d = 0; d < 200; ++d) {
         eba.insert(top, d, 1);
     }
-    EXPECT_GT(eba.stats().branch_outs, 0u);
+    EXPECT_GT(counter(eba, "eba.branch_outs"), 0u);
     EXPECT_GT(eba.blocks_in_use(), 1u);
     for (VertexId d = 0; d < 200; ++d) {
         EXPECT_TRUE(eba.find(top, d).has_value()) << d;
@@ -82,7 +87,7 @@ TEST(EdgeblockArray, RobinHoodSwapsHappenAndPreserveFindability) {
     for (VertexId d = 0; d < 64; ++d) {
         eba.insert(top, d, d + 1);
     }
-    EXPECT_GT(eba.stats().rhh_swaps, 0u) << "RHH never displaced anything";
+    EXPECT_GT(counter(eba, "eba.rhh_swaps"), 0u) << "RHH never displaced anything";
     for (VertexId d = 0; d < 64; ++d) {
         EXPECT_EQ(eba.find(top, d), std::optional<Weight>(d + 1));
     }
@@ -97,7 +102,7 @@ TEST(EdgeblockArray, RhhDisabledInCompactMode) {
     for (VertexId d = 0; d < 64; ++d) {
         eba.insert(top, d, d + 1);
     }
-    EXPECT_EQ(eba.stats().rhh_swaps, 0u);
+    EXPECT_EQ(counter(eba, "eba.rhh_swaps"), 0u);
     for (VertexId d = 0; d < 64; ++d) {
         EXPECT_EQ(eba.find(top, d), std::optional<Weight>(d + 1));
     }
@@ -115,7 +120,7 @@ TEST(EdgeblockArray, DeleteOnlyTombstonesWithoutFreeingBlocks) {
         EXPECT_TRUE(eba.erase(top, d).found);
     }
     EXPECT_EQ(eba.blocks_in_use(), peak_blocks) << "delete-only must not shrink";
-    EXPECT_EQ(eba.stats().blocks_freed, 0u);
+    EXPECT_EQ(counter(eba, "eba.blocks_freed"), 0u);
     for (VertexId d = 0; d < 100; ++d) {
         EXPECT_FALSE(eba.find(top, d).has_value());
     }
@@ -142,7 +147,7 @@ TEST(EdgeblockArray, DeleteAndCompactShrinksToNothing) {
     }
     EXPECT_EQ(top, EdgeblockArray::kNoBlock) << "empty vertex keeps no block";
     EXPECT_EQ(eba.blocks_in_use(), 0u) << "compact mode must fully shrink";
-    EXPECT_GT(eba.stats().blocks_freed, 0u);
+    EXPECT_GT(counter(eba, "eba.blocks_freed"), 0u);
 }
 
 TEST(EdgeblockArray, CompactionRelocatesDeepEdgesUpward) {
@@ -158,7 +163,7 @@ TEST(EdgeblockArray, CompactionRelocatesDeepEdgesUpward) {
     for (VertexId d = 0; d < 300; d += 2) {
         ASSERT_TRUE(eba.erase(top, d).found);
     }
-    EXPECT_GT(eba.stats().compaction_moves, 0u);
+    EXPECT_GT(counter(eba, "eba.compaction_moves"), 0u);
     EXPECT_LE(eba.subtree_depth(top), depth_before);
     for (VertexId d = 1; d < 300; d += 2) {
         EXPECT_EQ(eba.find(top, d), std::optional<Weight>(d)) << d;
@@ -213,9 +218,9 @@ TEST(EdgeblockArray, WorkblockFetchesAreCounted) {
     EdgeblockArray eba(cfg, nullptr);
     std::uint32_t top = EdgeblockArray::kNoBlock;
     eba.insert(top, 1, 1);
-    const auto before = eba.stats().workblocks_fetched;
+    const auto before = counter(eba, "eba.workblocks_fetched");
     (void)eba.find(top, 1);
-    EXPECT_GT(eba.stats().workblocks_fetched, before);
+    EXPECT_GT(counter(eba, "eba.workblocks_fetched"), before);
 }
 
 TEST(EdgeblockArrayConfig, ValidationRejectsBadGeometry) {

@@ -43,11 +43,11 @@ EdgeCount delete_half(GraphTinker& g, const std::vector<Edge>& edges) {
 
 /// Mean edge-cells probed per find_edge over every surviving edge.
 double mean_find_probe(const GraphTinker& g, const EdgeMap& live) {
-    const std::uint64_t before = g.stats().cells_probed;
+    const std::uint64_t before = g.telemetry().counter_value("eba.cells_probed");
     for (const auto& [key, weight] : live) {
         EXPECT_EQ(g.find_edge(key.first, key.second), weight);
     }
-    const std::uint64_t after = g.stats().cells_probed;
+    const std::uint64_t after = g.telemetry().counter_value("eba.cells_probed");
     return live.empty() ? 0.0
                         : static_cast<double>(after - before) /
                               static_cast<double>(live.size());
@@ -92,8 +92,8 @@ TEST(Maintenance, PurgeRestoresProbeDistanceAndFreesBlocks) {
     EXPECT_TRUE(report.complete);
     EXPECT_GT(report.trees_purged, 0u);
     EXPECT_GT(report.tombstones_purged, 0u);
-    EXPECT_EQ(g.stats().trees_rebuilt, report.trees_purged);
-    EXPECT_EQ(g.stats().tombstones_purged, report.tombstones_purged);
+    EXPECT_EQ(g.telemetry().counter_value("eba.trees_rebuilt"), report.trees_purged);
+    EXPECT_EQ(g.telemetry().counter_value("eba.tombstones_purged"), report.tombstones_purged);
 
     // Not one observable edge moved.
     EXPECT_EQ(edge_map(g), before_map);
@@ -178,7 +178,7 @@ TEST(Maintenance, UnbranchShrinksTreeDepth) {
     EXPECT_LT(g.tree_depth(kHub), depth_peak);
     EXPECT_LT(g.edgeblock_array().blocks_in_use(), blocks_before);
     EXPECT_EQ(edge_map(g), before_map);
-    EXPECT_EQ(g.stats().unbranch_moves, report.cells_moved);
+    EXPECT_EQ(g.telemetry().counter_value("eba.unbranch_moves"), report.cells_moved);
 }
 
 TEST(Maintenance, CalCompactionReclaimsHolesAndBlocks) {
@@ -265,7 +265,7 @@ TEST(Maintenance, AmortizedBudgetInsideBatchesKeepsTwinEquivalence) {
         ASSERT_EQ(edge_map(g), edge_map(twin)) << "round " << round;
     }
     // The amortized store did real reclamation along the way.
-    EXPECT_GT(g.stats().trees_rebuilt + g.stats().blocks_freed, 0u);
+    EXPECT_GT(g.telemetry().counter_value("eba.trees_rebuilt") + g.telemetry().counter_value("eba.blocks_freed"), 0u);
 }
 
 TEST(Maintenance, NoopOnEmptyAndFreshStores) {

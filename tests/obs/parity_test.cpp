@@ -51,6 +51,9 @@ TEST(ObsParity, GaugesMatchAuditCensusAfterChurn) {
                      static_cast<double>(report.cal_blocks));
     EXPECT_DOUBLE_EQ(snap.gauge_value("cal.live_edges"),
                      static_cast<double>(report.live_edges));
+    EXPECT_DOUBLE_EQ(snap.gauge_value("eba.small_blocks_in_use"),
+                     static_cast<double>(report.small_blocks));
+    EXPECT_GT(report.small_blocks, 0u);
 
     // Batch accounting: three batches were fed, each counted once, and
     // gt.updates sums their sizes whether or not an update landed.

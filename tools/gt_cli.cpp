@@ -230,8 +230,9 @@ int cmd_stats(const ParsedGraph& parsed, bool json) {
                 static_cast<unsigned long long>(g.num_edges()));
     std::printf("stream updates      : %zu\n", parsed.edges.size());
     std::printf("max out-degree      : %u\n", max_degree);
-    std::printf("edgeblocks in use   : %zu\n",
-                g.edgeblock_array().blocks_in_use());
+    std::printf("edgeblocks in use   : %zu (+ %zu small roots)\n",
+                g.edgeblock_array().blocks_in_use(),
+                g.edgeblock_array().small_blocks_in_use());
     std::printf("load time           : %.3f s (%.2f Mupdates/s)\n", load_s,
                 mops(parsed.edges.size(), load_s));
     std::printf("\n-- telemetry (gt.obs) --\n");
