@@ -88,6 +88,12 @@ public:
         return chunk_count_ == 0 ? 0 : (first_ << chunk_count_) - first_;
     }
 
+    /// Blocks the chunks will hold once grow() appends the next one (valid
+    /// while fewer than kMaxChunks chunks exist).
+    [[nodiscard]] std::uint64_t capacity_after_grow() const noexcept {
+        return (first_ << (chunk_count_ + 1)) - first_;
+    }
+
     /// Appends the next chunk (twice the size of the last). Throws
     /// std::bad_alloc or std::length_error; on a throw the arena is
     /// unchanged.
