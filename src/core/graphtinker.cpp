@@ -521,10 +521,9 @@ Status GraphTinker::run_transaction(std::span<const Edge> batch, bool deletes,
     return st;
 }
 
-Status GraphTinker::insert_batch(std::span<const Edge> batch) {
-    batches_ingested_->inc();
-    updates_applied_->add(batch.size());
-    const BatchLatencyScope lat{ingest_batch_us_};
+template <typename SoloFn, typename ApplyFn>
+Status GraphTinker::frame_batch(std::span<const Edge> batch, bool deletes,
+                                SoloFn&& solo, ApplyFn&& apply) {
     // Amortized maintenance rides on every batch boundary when configured.
     struct MaintainAtExit {
         GraphTinker& g;
@@ -535,22 +534,19 @@ Status GraphTinker::insert_batch(std::span<const Edge> batch) {
         }
     } maintain_at_exit{*this};
     // Single-edge bypass (durability off): a 1-edge batch is inherently
-    // atomic because insert_edge's growth pre-flights throw before any
-    // mutation, so the journal/txn frame would be pure overhead — route it
-    // straight through the solo path at solo cost. With a log attached the
-    // transactional frame stays: batch and solo records replay differently.
+    // atomic because the solo path's growth and erase pre-flights throw
+    // before any mutation, so the journal/txn frame would be pure overhead
+    // — route it straight through the solo path at solo cost. With a log
+    // attached the transactional frame stays: batch and solo records
+    // replay differently.
     if (batch.size() <= 1 && log_ == nullptr) {
-        if (batch.empty()) {
-            return Status::success();
-        }
-        const Edge& e = batch.front();
-        if (e.src == kInvalidVertex || e.dst == kInvalidVertex) {
-            return Status{StatusCode::InvalidArgument,
-                          "batch edge carries the invalid-vertex sentinel",
-                          0};
+        if (Status st = validate_batch(batch); !st.ok()) {
+            return st;
         }
         try {
-            (void)insert_edge(e.src, e.dst, e.weight);
+            for (const Edge& e : batch) {
+                solo(e);
+            }
         } catch (const fail::InjectedFault& f) {
             return Status{StatusCode::FaultInjected,
                           "injected fault at site '" + f.site() +
@@ -562,7 +558,21 @@ Status GraphTinker::insert_batch(std::span<const Edge> batch) {
         }
         return Status::success();
     }
-    const Status st = run_transaction(batch, /*deletes=*/false, [&] {
+    const Status st = run_transaction(batch, deletes, apply);
+    if (st.ok()) {
+        mutation_epoch_.fetch_add(1, std::memory_order_release);
+    }
+    return st;
+}
+
+Status GraphTinker::insert_batch(std::span<const Edge> batch) {
+    batches_ingested_->inc();
+    updates_applied_->add(batch.size());
+    const BatchLatencyScope lat{ingest_batch_us_};
+    const auto solo = [this](const Edge& e) {
+        (void)insert_edge(e.src, e.dst, e.weight);
+    };
+    return frame_batch(batch, /*deletes=*/false, solo, [&] {
         if (batch.size() < kBatchFastPathMin ||
             batch.size() > std::numeric_limits<std::uint32_t>::max()) {
             for (const Edge& e : batch) {
@@ -638,51 +648,17 @@ Status GraphTinker::insert_batch(std::span<const Edge> batch) {
             num_edges_ += created;
         }
     });
-    if (st.ok()) {
-        mutation_epoch_.fetch_add(1, std::memory_order_release);
-    }
-    return st;
 }
 
 Status GraphTinker::delete_batch(std::span<const Edge> batch) {
     batches_ingested_->inc();
     updates_applied_->add(batch.size());
     const BatchLatencyScope lat{delete_batch_us_};
-    struct MaintainAtExit {
-        GraphTinker& g;
-        ~MaintainAtExit() {
-            if (g.config_.maintenance_budget_cells > 0) {
-                g.maintain_some(g.config_.maintenance_budget_cells);
-            }
-        }
-    } maintain_at_exit{*this};
-    // Single-edge bypass, mirroring insert_batch: an absent edge is a legal
-    // no-op and delete_edge's erase pre-flight throws before any mutation,
-    // so the 1-edge case needs no journal frame when durability is off.
-    if (batch.size() <= 1 && log_ == nullptr) {
-        if (batch.empty()) {
-            return Status::success();
-        }
-        const Edge& e = batch.front();
-        if (e.src == kInvalidVertex || e.dst == kInvalidVertex) {
-            return Status{StatusCode::InvalidArgument,
-                          "batch edge carries the invalid-vertex sentinel",
-                          0};
-        }
-        try {
-            (void)delete_edge(e.src, e.dst);
-        } catch (const fail::InjectedFault& f) {
-            return Status{StatusCode::FaultInjected,
-                          "injected fault at site '" + f.site() +
-                              "' mid-batch",
-                          0};
-        } catch (const std::bad_alloc&) {
-            return Status{StatusCode::ResourceExhausted,
-                          "allocation failed mid-batch", 0};
-        }
-        return Status::success();
-    }
-    const Status st = run_transaction(batch, /*deletes=*/true, [&] {
+    const auto solo = [this](const Edge& e) {
+        // Absent edges are a legal no-op, as within a delete batch.
+        (void)delete_edge(e.src, e.dst);
+    };
+    return frame_batch(batch, /*deletes=*/true, solo, [&] {
         if (batch.size() < kBatchFastPathMin ||
             batch.size() > std::numeric_limits<std::uint32_t>::max()) {
             for (const Edge& e : batch) {
@@ -713,10 +689,6 @@ Status GraphTinker::delete_batch(std::span<const Edge> batch) {
             }
         }
     });
-    if (st.ok()) {
-        mutation_epoch_.fetch_add(1, std::memory_order_release);
-    }
-    return st;
 }
 
 std::optional<Weight> GraphTinker::find_edge(VertexId src,

@@ -296,6 +296,14 @@ private:
     template <typename ApplyFn>
     [[nodiscard]] Status run_transaction(std::span<const Edge> batch,
                                          bool deletes, ApplyFn&& apply);
+    /// Everything insert_batch/delete_batch share around their bodies:
+    /// amortized maintenance on every exit path, the single-edge bypass
+    /// through `solo` (an insert_edge or delete_edge call) when no log is
+    /// attached, else run_transaction(apply) and the mutation-epoch bump.
+    template <typename SoloFn, typename ApplyFn>
+    [[nodiscard]] Status frame_batch(std::span<const Edge> batch,
+                                     bool deletes, SoloFn&& solo,
+                                     ApplyFn&& apply);
     /// Materializes `batch` into ingest_sorted_ grouped by source, stable
     /// in batch order within a source, so the apply loop streams
     /// sequentially. Small source spans take a single-pass counting sort

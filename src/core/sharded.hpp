@@ -15,10 +15,10 @@
 // per-shard HandoffQueue. The caller's role shrinks to radix-scattering the
 // batch into a generation arena and enqueueing one slice task per shard —
 // so partitioning batch N+1 overlaps shard application of batch N, and no
-// thread ever waits at a barrier on the ingest path. Mini-batches at or
-// below Config::sharded_small_batch_threshold that land wholly on one shard
-// (always true for batch=1) skip the partition and hand the slice to the
-// owning worker directly.
+// thread ever waits at a barrier on the ingest path. Mini-batches of at
+// most kSmallBatch edges that land wholly on one shard (always true for
+// batch=1) skip the partition and hand the slice to the owning worker
+// directly.
 //
 // Concurrency discipline: single writer per shard, many readers. Only shard
 // s's worker mutates shard s's store, holding the shard's rwlock exclusively
@@ -43,7 +43,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <chrono>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -55,7 +54,6 @@
 #include <vector>
 
 #include "gen/batch_prep.hpp"
-#include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
 #include "util/hash.hpp"
 #include "util/mutex.hpp"
@@ -76,23 +74,6 @@ namespace detail {
 inline thread_local std::vector<const void*> tl_pinned_shards;
 }  // namespace detail
 
-/// Pipeline knobs. Fields left at kFromConfig resolve from the store
-/// config when it carries the sharded_* members (gt::core::Config does),
-/// else to the built-in defaults — so STINGER shards pick up sane values
-/// without growing config fields.
-struct ShardedOptions {
-    static constexpr std::size_t kFromConfig = static_cast<std::size_t>(-1);
-
-    /// Single-shard mini-batches at or below this size bypass partitioning.
-    std::size_t small_batch_threshold = kFromConfig;
-    /// Bounded per-shard queue depth, in hand-off tasks.
-    std::size_t queue_depth = kFromConfig;
-    /// Optional metrics sink: per-shard `shard.<i>.queue_depth` gauges, the
-    /// `shard.handoff_us` latency histogram and the `shard.tasks_applied`
-    /// counter land here.
-    obs::Registry* registry = nullptr;
-};
-
 template <typename Store>
 class ShardedStore {
     struct Shard;
@@ -103,9 +84,7 @@ public:
     /// from (stores are built in place — GraphTinker is intentionally
     /// non-movable).
     template <typename Factory>
-    explicit ShardedStore(std::size_t shards, Factory&& factory,
-                          ShardedOptions opts = {}) {
-        resolve_options(opts, factory);
+    explicit ShardedStore(std::size_t shards, Factory&& factory) {
         const std::size_t n = shards == 0 ? 1 : shards;
         for (auto& gen : gens_) {
             gen = std::make_unique<Generation>();
@@ -113,9 +92,8 @@ public:
         shards_.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
             shards_.push_back(std::make_unique<Shard>(
-                std::make_unique<Store>(factory()), queue_depth_));
+                std::make_unique<Store>(factory()), kQueueDepth));
         }
-        bind_metrics(opts.registry);
         for (std::size_t i = 0; i < n; ++i) {
             shards_[i]->worker = std::thread([this, i] { worker_loop(i); });
         }
@@ -191,7 +169,7 @@ public:
             const std::size_t single = single_shard_of(ups);
             if (single != kMixedShards) {
                 gen.updates.insert(gen.updates.end(), ups.begin(), ups.end());
-                submit(single, make_task(Op::ApplyUpdates, gen,
+                submit(single, make_task(Op::ApplyUpdates,
                                          gen.updates.data() + base,
                                          ups.size()));
             } else {
@@ -201,7 +179,7 @@ public:
                     const std::size_t len =
                         slice_offsets_[s + 1] - slice_offsets_[s];
                     if (len != 0) {
-                        submit(s, make_task(Op::ApplyUpdates, gen,
+                        submit(s, make_task(Op::ApplyUpdates,
                                             gen.updates.data() + base +
                                                 slice_offsets_[s],
                                             len));
@@ -453,21 +431,6 @@ public:
         return shards_[s]->store->find_edge(src, dst);
     }
 
-    /// Refreshes the pipeline gauges into the bound registry. Drains first
-    /// so the per-shard stores are quiescent and the epoch gauges describe
-    /// one consistent point; queue-depth gauges therefore read the
-    /// post-drain backlog (zero) — their live values stream in at push
-    /// time.
-    void telemetry() {
-        drain();
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            Shard& sh = *shards_[s];
-            if (sh.depth_gauge != nullptr) {
-                sh.depth_gauge->set(static_cast<double>(sh.queue.depth()));
-            }
-        }
-    }
-
 private:
     enum class Op : std::uint8_t { InsertEdges, DeleteEdges, ApplyUpdates };
 
@@ -481,7 +444,6 @@ private:
         std::size_t count = 0;
         const Edge* edges = nullptr;
         const Update* updates = nullptr;
-        std::uint64_t enqueue_ns = 0;
     };
 
     /// Arena one or more partitioned batches live in while their slice
@@ -511,7 +473,6 @@ private:
         /// no lock is needed.
         Status failure;
         bool failed = false;
-        obs::Gauge* depth_gauge = nullptr;
         std::thread worker;
     };
 
@@ -530,47 +491,13 @@ private:
     /// Worker-side bulk dequeue width: amortizes the queue lock over up to
     /// this many tiny tasks per wakeup.
     static constexpr std::size_t kMaxPopBatch = 64;
-
-    template <typename Factory>
-    void resolve_options(ShardedOptions& opts, Factory& factory) {
-        std::size_t small = 64;
-        std::size_t depth = 1024;
-        if constexpr (requires {
-                          factory().sharded_small_batch_threshold;
-                          factory().sharded_queue_depth;
-                      }) {
-            const auto cfg = factory();
-            small = cfg.sharded_small_batch_threshold;
-            depth = cfg.sharded_queue_depth;
-        }
-        small_batch_ = opts.small_batch_threshold ==
-                               ShardedOptions::kFromConfig
-                           ? small
-                           : opts.small_batch_threshold;
-        queue_depth_ = opts.queue_depth == ShardedOptions::kFromConfig
-                           ? depth
-                           : opts.queue_depth;
-        queue_depth_ = std::max<std::size_t>(queue_depth_, 1);
-    }
-
-    void bind_metrics(obs::Registry* registry) {
-        if (registry == nullptr) {
-            return;
-        }
-        handoff_us_ = &registry->histogram("shard.handoff_us");
-        tasks_applied_ = &registry->counter("shard.tasks_applied");
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            shards_[s]->depth_gauge = &registry->gauge(
-                "shard." + std::to_string(s) + ".queue_depth");
-        }
-    }
-
-    [[nodiscard]] static std::uint64_t now_ns() noexcept {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count());
-    }
+    /// Single-shard mini-batches of at most this many updates bypass the
+    /// partition.
+    static constexpr std::size_t kSmallBatch = 64;
+    /// Bounded depth (in hand-off tasks) of each shard's queue: the
+    /// producer blocks when it fills — backpressure instead of unbounded
+    /// buffering.
+    static constexpr std::size_t kQueueDepth = 1024;
 
     [[nodiscard]] static Status prefixed(std::size_t s, const Status& st) {
         Status out = st;
@@ -611,7 +538,7 @@ private:
             // whole mini-batch is one slice for one worker — no counting
             // sort, no scatter.
             gen.edges.insert(gen.edges.end(), batch.begin(), batch.end());
-            submit(single, make_task(op, gen, gen.edges.data() + base,
+            submit(single, make_task(op, gen.edges.data() + base,
                                      batch.size()));
             return;
         }
@@ -620,7 +547,7 @@ private:
         for (std::size_t s = 0; s < shards_.size(); ++s) {
             const std::size_t len = slice_offsets_[s + 1] - slice_offsets_[s];
             if (len != 0) {
-                submit(s, make_task(op, gen,
+                submit(s, make_task(op,
                                     gen.edges.data() + base +
                                         slice_offsets_[s],
                                     len));
@@ -637,7 +564,7 @@ private:
         if (n == 1) {
             return 0;
         }
-        if (batch.size() > small_batch_) {
+        if (batch.size() > kSmallBatch) {
             return kMixedShards;
         }
         const std::size_t first = shard_of(src_of(batch[0]), n);
@@ -657,8 +584,7 @@ private:
     }
 
     template <typename T>
-    [[nodiscard]] Task make_task(Op op, Generation& gen, const T* data,
-                                 std::size_t count) {
+    [[nodiscard]] Task make_task(Op op, const T* data, std::size_t count) {
         Task t;
         t.op = op;
         t.gen = open_;
@@ -668,13 +594,6 @@ private:
         } else {
             t.updates = data;
         }
-        // Hand-off latency sampling: the clock read costs more than the
-        // queue push at batch=1, so stamp only every 64th submission.
-        if (handoff_us_ != nullptr && ((++push_seq_ & 63U) == 0) &&
-            obs::recording()) {
-            t.enqueue_ns = now_ns();
-        }
-        (void)gen;
         return t;
     }
 
@@ -683,11 +602,7 @@ private:
     /// can never drop the generation's refcount to zero early.
     void submit(std::size_t s, Task&& t) {
         gens_[t.gen]->pending.fetch_add(1, std::memory_order_relaxed);
-        Shard& sh = *shards_[s];
-        sh.queue.push(std::move(t));
-        if (sh.depth_gauge != nullptr) {
-            sh.depth_gauge->set(static_cast<double>(sh.queue.depth()));
-        }
+        shards_[s]->queue.push(std::move(t));
     }
 
     /// Returns a generation with room for the requested append, keeping
@@ -772,9 +687,6 @@ private:
             for (const Task& t : tasks) {
                 apply_task(s, t);
             }
-            if (tasks_applied_ != nullptr) {
-                tasks_applied_->add(tasks.size());
-            }
             shards_[s]->queue.note_completed(tasks.size());
             tasks.clear();
         }
@@ -782,9 +694,6 @@ private:
 
     void apply_task(std::size_t s, const Task& t) {
         Shard& sh = *shards_[s];
-        if (handoff_us_ != nullptr && t.enqueue_ns != 0) {
-            handoff_us_->record((now_ns() - t.enqueue_ns) / 1000);
-        }
         Status st;
         {
             const LockGuard<SharedMutex> lock(sh.rw);
@@ -916,15 +825,6 @@ private:
     // Producer-side partition scratch; capacity reused across batches.
     std::vector<std::size_t> slice_offsets_;  // shard s: [s, s+1) rel. base
     std::vector<std::size_t> cursors_;        // scatter cursors
-
-    std::size_t small_batch_ = 64;
-    std::size_t queue_depth_ = 1024;
-    std::uint64_t push_seq_ = 0;
-
-    // Bound once at construction (obs hot-path discipline); null without a
-    // registry.
-    obs::Histogram* handoff_us_ = nullptr;
-    obs::Counter* tasks_applied_ = nullptr;
 };
 
 }  // namespace gt::core

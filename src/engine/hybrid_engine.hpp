@@ -11,7 +11,9 @@
 // where A is the number of active vertices for the upcoming iteration and E
 // is the number of edges loaded so far. Both modes compute identical
 // per-iteration results; only the memory access pattern differs — which is
-// the whole point.
+// the whole point. EngineState::infer_mode is the one decision point: the
+// serial engine here and the shard-parallel engine (parallel_engine.hpp)
+// both call it, so every ModePolicy means the same on either.
 //
 // The engine is generic over the store: any type providing
 //   visit_out_edges(v, fn(dst, w)) / visit_edges(fn(src, dst, w)) /
@@ -130,18 +132,20 @@ struct ModeDecision {
     double ratio;
 };
 
-/// State shared by the serial and the shard-parallel engine: vertex
-/// properties, the frontier, the pending messages of the iteration in
-/// flight, the registered roots and the telemetry handles. Both engines
-/// seed batches, commit iterations and publish trace rows through it.
+/// State shared by the serial and the shard-parallel engine: the options,
+/// vertex properties, the frontier, the pending messages of the iteration
+/// in flight, the registered roots and the telemetry handles. Both engines
+/// seed batches, decide modes, commit iterations and publish trace rows
+/// through it.
 template <typename Alg>
 class EngineState {
 public:
     using Property = typename Alg::Property;
 
-    EngineState(Alg algorithm, obs::Registry* registry) : alg(algorithm) {
-        if (registry != nullptr) {
-            obs::Registry& r = *registry;
+    EngineState(Alg algorithm, EngineOptions opts)
+        : alg(algorithm), opts_(opts) {
+        if (opts.registry != nullptr) {
+            obs::Registry& r = *opts.registry;
             trace_ = &r.series("engine.trace",
                                {kTraceFields.begin(), kTraceFields.end()});
             iterations_m_ = &r.counter("engine.iterations");
@@ -197,6 +201,45 @@ public:
 
     [[nodiscard]] Property property(VertexId v) const {
         return v < props.size() ? props[v] : alg.initial(v);
+    }
+
+    /// The inference unit (paper §IV.B): the load path of the upcoming
+    /// iteration over a graph of `edges` edges, where `degree_of(v)` is v's
+    /// out-degree. Only HybridDegreeAware walks the frontier's degrees;
+    /// every other policy decides in O(1).
+    template <typename DegreeFn>
+    [[nodiscard]] ModeDecision infer_mode(EdgeCount edges,
+                                          DegreeFn degree_of) const {
+        const double e = static_cast<double>(std::max<EdgeCount>(edges, 1));
+        const double a_over_e = static_cast<double>(active.size()) / e;
+        switch (opts_.policy) {
+            case ModePolicy::ForceFull:
+                return {Mode::Full, a_over_e};
+            case ModePolicy::ForceIncremental:
+                return {Mode::Incremental, a_over_e};
+            case ModePolicy::Hybrid:
+                return {a_over_e > opts_.threshold ? Mode::Full
+                                                   : Mode::Incremental,
+                        a_over_e};
+            case ModePolicy::HybridDegreeAware:
+                break;
+        }
+        const double l_over_e =
+            static_cast<double>(active_degree(degree_of)) / e;
+        return {l_over_e > opts_.degree_threshold ? Mode::Full
+                                                  : Mode::Incremental,
+                l_over_e};
+    }
+
+    /// L = Σ degree(active): the edges an IP iteration walks, and the
+    /// logical work of an FP iteration.
+    template <typename DegreeFn>
+    [[nodiscard]] std::uint64_t active_degree(DegreeFn degree_of) const {
+        std::uint64_t sum = 0;
+        for (VertexId u : active.vertices()) {
+            sum += degree_of(u);
+        }
+        return sum;
     }
 
     /// Reduces `msg` into dst's pending message.
@@ -333,6 +376,7 @@ private:
         }
     }
 
+    EngineOptions opts_;
     std::vector<std::uint64_t> seen_;  // batch pairs already seeded
     std::vector<VertexId> roots_;
     // Telemetry handles, resolved once in the constructor; all null without
@@ -356,7 +400,7 @@ public:
 
     explicit DynamicAnalysis(const Store& store, EngineOptions opts = {},
                              Alg alg = {})
-        : store_(store), opts_(opts), st_(alg, opts.registry) {}
+        : store_(store), st_(alg, opts) {}
 
     /// Registers the analysis root (BFS/SSSP); its property becomes 0 and it
     /// seeds from-scratch runs. May be called before the vertex exists.
@@ -378,9 +422,6 @@ public:
         return run();
     }
 
-    /// Re-seeds without discarding properties (useful after manual edits).
-    RunStats run_to_fixpoint() { return run(); }
-
     [[nodiscard]] const std::vector<Property>& properties() const noexcept {
         return st_.props;
     }
@@ -388,42 +429,15 @@ public:
         return st_.property(v);
     }
     [[nodiscard]] const Alg& algorithm() const noexcept { return st_.alg; }
-    [[nodiscard]] const EngineOptions& options() const noexcept {
-        return opts_;
-    }
 
 private:
-    /// The inference-box decision for the upcoming iteration (paper §IV.B).
-    [[nodiscard]] ModeDecision decide_mode() const {
-        const double edges =
-            static_cast<double>(std::max<EdgeCount>(store_.num_edges(), 1));
-        const double a_over_e = static_cast<double>(st_.active.size()) / edges;
-        switch (opts_.policy) {
-            case ModePolicy::ForceFull:
-                return {Mode::Full, a_over_e};
-            case ModePolicy::ForceIncremental:
-                return {Mode::Incremental, a_over_e};
-            case ModePolicy::Hybrid:
-                return {a_over_e > opts_.threshold ? Mode::Full
-                                                   : Mode::Incremental,
-                        a_over_e};
-            case ModePolicy::HybridDegreeAware:
-                break;
-        }
-        std::uint64_t walk = 0;  // edges an IP iteration would traverse
-        for (VertexId u : st_.active.vertices()) {
-            walk += store_.degree(u);
-        }
-        const double t = static_cast<double>(walk) / edges;
-        return {t > opts_.degree_threshold ? Mode::Full : Mode::Incremental,
-                t};
-    }
-
     RunStats run() {
         RunStats stats;
+        const auto degree_of = [this](VertexId v) { return store_.degree(v); };
         while (!st_.active.empty()) {
             Timer timer;
-            const ModeDecision decision = decide_mode();
+            const ModeDecision decision =
+                st_.infer_mode(store_.num_edges(), degree_of);
             const std::size_t processed = st_.active.size();
             std::uint64_t streamed = 0;
             std::uint64_t logical = 0;
@@ -451,9 +465,7 @@ private:
                         }
                     }
                 });
-                for (VertexId u : st_.active.vertices()) {
-                    logical += store_.degree(u);
-                }
+                logical = st_.active_degree(degree_of);
             }
 
             // --- apply phase (commit + next frontier) --------------------
@@ -465,7 +477,6 @@ private:
     }
 
     const Store& store_;
-    EngineOptions opts_;
     EngineState<Alg> st_;
 };
 

@@ -12,9 +12,10 @@
 // shard's compact CAL; incremental processing walks the out-edges of the
 // active vertices owned by each shard.
 //
-// Batch seeding, the apply phase and telemetry are the serial engine's own
-// (EngineState in hybrid_engine.hpp), so both engines seed a batch the same
-// way and publish the same "engine.trace" rows.
+// Batch seeding, the mode decision, the apply phase and telemetry are the
+// serial engine's own (EngineState in hybrid_engine.hpp), so both engines
+// seed a batch the same way, honour every ModePolicy through one
+// infer_mode, and publish the same "engine.trace" rows.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +40,7 @@ public:
     explicit ParallelDynamicAnalysis(const Sharded& store,
                                      EngineOptions opts = {}, Alg alg = {})
         : store_(store),
-          opts_(opts),
-          st_(alg, opts.registry),
+          st_(alg, opts),
           pool_(store.num_shards()),
           locals_(store.num_shards()) {}
 
@@ -81,35 +81,21 @@ private:
         return bound;
     }
 
-    [[nodiscard]] EdgeCount total_edges() const {
-        return store_.num_edges();
-    }
-
-    [[nodiscard]] ModeDecision decide_mode() const {
-        const double edges = static_cast<double>(
-            std::max<EdgeCount>(total_edges(), 1));
-        const double t = static_cast<double>(st_.active.size()) / edges;
-        switch (opts_.policy) {
-            case ModePolicy::ForceFull:
-                return {Mode::Full, t};
-            case ModePolicy::ForceIncremental:
-                return {Mode::Incremental, t};
-            default:
-                break;
-        }
-        return {t > opts_.threshold ? Mode::Full : Mode::Incremental, t};
-    }
-
     RunStats run() {
         RunStats stats;
+        const std::size_t shards = store_.num_shards();
+        const auto degree_of = [&](VertexId v) {
+            return store_.shard(Sharded::shard_of(v, shards)).degree(v);
+        };
         for (Local& local : locals_) {
             local.temp.resize(st_.props.size());
         }
         // Active vertices grouped by owning shard (incremental mode).
-        std::vector<std::vector<VertexId>> by_shard(store_.num_shards());
+        std::vector<std::vector<VertexId>> by_shard(shards);
         while (!st_.active.empty()) {
             Timer timer;
-            const ModeDecision decision = decide_mode();
+            const ModeDecision decision =
+                st_.infer_mode(store_.num_edges(), degree_of);
             const Mode mode = decision.mode;
             const std::size_t processed = st_.active.size();
 
@@ -119,8 +105,7 @@ private:
                     bucket.clear();
                 }
                 for (VertexId u : st_.active.vertices()) {
-                    by_shard[Sharded::shard_of(u, store_.num_shards())]
-                        .push_back(u);
+                    by_shard[Sharded::shard_of(u, shards)].push_back(u);
                 }
             }
             pool_.for_each_worker([&](std::size_t s) {
@@ -167,17 +152,9 @@ private:
                 }
             }
 
-            std::uint64_t logical = 0;
-            if (mode == Mode::Incremental) {
-                logical = streamed;
-            } else {
-                for (VertexId u : st_.active.vertices()) {
-                    logical += store_
-                                   .shard(Sharded::shard_of(
-                                       u, store_.num_shards()))
-                                   .degree(u);
-                }
-            }
+            const std::uint64_t logical = mode == Mode::Incremental
+                                              ? streamed
+                                              : st_.active_degree(degree_of);
 
             // --- post-scatter hook + apply phase ----------------------
             st_.commit();
@@ -188,7 +165,6 @@ private:
     }
 
     const Sharded& store_;
-    EngineOptions opts_;
     EngineState<Alg> st_;
     ThreadPool pool_;
     std::vector<Local> locals_;

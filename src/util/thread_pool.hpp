@@ -247,13 +247,6 @@ public:
     [[nodiscard]] std::uint64_t completed() const noexcept {
         return completed_.load(std::memory_order_acquire);
     }
-    /// Instantaneous backlog (enqueued but not yet applied) — the
-    /// queue-depth gauge's source.
-    [[nodiscard]] std::size_t depth() const noexcept {
-        const std::uint64_t done = completed_.load(std::memory_order_acquire);
-        const std::uint64_t in = enqueued_.load(std::memory_order_acquire);
-        return static_cast<std::size_t>(in - done);
-    }
     [[nodiscard]] std::size_t capacity() const noexcept {
         return ring_.size();
     }

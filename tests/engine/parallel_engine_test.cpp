@@ -15,8 +15,8 @@
 namespace gt::engine {
 namespace {
 
-/// Both engines seed a batch through the same pass and decide modes by the
-/// same A/E rule, so everything but wall time agrees.
+/// Both engines seed a batch through the same pass and decide modes through
+/// the same inference unit, so everything but wall time agrees.
 void expect_same_run(const RunStats& par, const RunStats& ser) {
     EXPECT_EQ(par.iterations, ser.iterations);
     EXPECT_EQ(par.full_iterations, ser.full_iterations);
@@ -131,6 +131,79 @@ TEST(ParallelEngine, SeedingPassMatchesSerialEngineOnRawWeights) {
     EXPECT_EQ(par_registry.snapshot().counter_value("engine.iterations"),
               ser_registry.snapshot().counter_value("engine.iterations"));
 }
+
+/// Both engines decide through one inference unit, so under every policy
+/// each "engine.trace" row reports the same mode and the same ratio.
+class ParallelEnginePolicyTest : public ::testing::TestWithParam<ModePolicy> {
+};
+
+TEST_P(ParallelEnginePolicyTest, TraceModesAndRatiosMatchSerialEngine) {
+    const ModePolicy policy = GetParam();
+    const auto edges = symmetrize(rmat_edges(300, 5000, 43));
+    core::ShardedStore<core::GraphTinker> sharded(4, [] {
+        return core::Config{};
+    });
+    core::GraphTinker serial;
+    obs::Registry par_registry;
+    obs::Registry ser_registry;
+    // A frontier walking more than 5% of the edges streams them instead,
+    // so the degree-aware rule picks both modes on these batches.
+    const EngineOptions opts{.policy = policy, .degree_threshold = 0.05};
+    EngineOptions par_opts = opts;
+    par_opts.registry = &par_registry;
+    EngineOptions ser_opts = opts;
+    ser_opts.registry = &ser_registry;
+    ParallelDynamicAnalysis<core::GraphTinker, Bfs> par(sharded, par_opts);
+    DynamicAnalysis<core::GraphTinker, Bfs> ser(serial, ser_opts);
+    par.set_root(0);
+    ser.set_root(0);
+
+    RunStats total;
+    EdgeBatcher batches(edges, 1000);
+    for (std::size_t b = 0; b < batches.num_batches(); ++b) {
+        const auto batch = batches.batch(b);
+        (void)sharded.insert_batch(batch);
+        (void)serial.insert_batch(batch);
+        const RunStats par_stats = par.on_batch(batch);
+        expect_same_run(par_stats, ser.on_batch(batch));
+        total.accumulate(par_stats);
+        for (VertexId v = 0; v < serial.num_vertices(); ++v) {
+            ASSERT_EQ(par.property(v), ser.property(v))
+                << "batch " << b << " vertex " << v;
+        }
+    }
+
+    const auto par_snap = par_registry.snapshot();
+    const auto ser_snap = ser_registry.snapshot();
+    const auto* par_trace = par_snap.find_series("engine.trace");
+    const auto* ser_trace = ser_snap.find_series("engine.trace");
+    ASSERT_NE(par_trace, nullptr);
+    ASSERT_NE(ser_trace, nullptr);
+    ASSERT_EQ(par_trace->rows.size(), ser_trace->rows.size());
+    for (std::size_t i = 0; i < par_trace->rows.size(); ++i) {
+        EXPECT_EQ(par_trace->rows[i][1], ser_trace->rows[i][1])
+            << "mode_full, row " << i;
+        EXPECT_EQ(par_trace->rows[i][3], ser_trace->rows[i][3])
+            << "ratio, row " << i;
+    }
+    if (policy == ModePolicy::HybridDegreeAware) {
+        EXPECT_GT(total.full_iterations, 0u);
+        EXPECT_GT(total.incremental_iterations, 0u);
+    }
+}
+
+std::string policy_name(const ::testing::TestParamInfo<ModePolicy>& info) {
+    constexpr const char* kNames[] = {"ForceFull", "ForceIncremental",
+                                      "Hybrid", "HybridDegreeAware"};
+    return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, ParallelEnginePolicyTest,
+                         ::testing::Values(ModePolicy::ForceFull,
+                                           ModePolicy::ForceIncremental,
+                                           ModePolicy::Hybrid,
+                                           ModePolicy::HybridDegreeAware),
+                         policy_name);
 
 TEST(ParallelEngine, ForcedModesRespected) {
     const auto edges = symmetrize(rmat_edges(200, 2000, 41));

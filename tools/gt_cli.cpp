@@ -742,6 +742,23 @@ int remote_connect(const std::string& spec, net::Client& client) {
     return 0;
 }
 
+/// remote_connect, then Client::open(graph) into `g`. Opening (or attaching
+/// to) the graph lets a one-shot verb work against a freshly restarted
+/// server where nothing has opened it yet. Returns the exit code of the
+/// first failing step, 0 on success.
+int remote_open(const std::string& spec, const std::string& graph,
+                net::Client& client, net::RemoteGraph& g,
+                std::uint8_t durability = 255) {
+    if (const int rc = remote_connect(spec, client); rc != 0) {
+        return rc;
+    }
+    if (const Status st = client.open(graph, g, durability); !st.ok()) {
+        std::fprintf(stderr, "open: %s\n", st.to_string().c_str());
+        return 1;
+    }
+    return 0;
+}
+
 // gt replicate — warm replica: a read_only server answers the read verbs
 // while a Replicator (owning the store's write side through open_local)
 // mirrors the primary's WAL stream.
@@ -992,13 +1009,9 @@ int cmd_remote_load(int argc, char** argv) {
         return 1;
     }
     net::Client client;
-    if (const int rc = remote_connect(argv[0], client); rc != 0) {
-        return rc;
-    }
     net::RemoteGraph g;
-    if (const Status st = client.open(graph, g); !st.ok()) {
-        std::fprintf(stderr, "open: %s\n", st.to_string().c_str());
-        return 1;
+    if (const int rc = remote_open(argv[0], graph, client, g); rc != 0) {
+        return rc;
     }
     std::uint64_t edge_count = 0;
     Timer timer;
@@ -1034,15 +1047,9 @@ int cmd_remote_bfs(int argc, char** argv) {
             static_cast<VertexId>(std::strtoul(argv[i], nullptr, 10)));
     }
     net::Client client;
-    if (const int rc = remote_connect(argv[0], client); rc != 0) {
-        return rc;
-    }
-    // Open (or attach to) the graph so a one-shot query works against a
-    // freshly restarted server where nothing has opened it yet.
     net::RemoteGraph g;
-    if (const Status st = client.open(graph, g); !st.ok()) {
-        std::fprintf(stderr, "open: %s\n", st.to_string().c_str());
-        return 1;
+    if (const int rc = remote_open(argv[0], graph, client, g); rc != 0) {
+        return rc;
     }
     std::vector<std::uint32_t> dist;
     if (const Status st = g.bfs_distances(root, targets, dist); !st.ok()) {
@@ -1064,13 +1071,9 @@ int cmd_remote_stats(int argc, char** argv) {
         return usage();
     }
     net::Client client;
-    if (const int rc = remote_connect(argv[0], client); rc != 0) {
-        return rc;
-    }
     net::RemoteGraph g;
-    if (const Status st = client.open(argv[1], g); !st.ok()) {
-        std::fprintf(stderr, "open: %s\n", st.to_string().c_str());
-        return 1;
+    if (const int rc = remote_open(argv[0], argv[1], client, g); rc != 0) {
+        return rc;
     }
     std::string json;
     if (const Status st = g.stats_json(json); !st.ok()) {
@@ -1100,13 +1103,9 @@ int cmd_remote_torture_write(int argc, char** argv) {
     const std::uint64_t first_step =
         argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
     net::Client client;
-    if (const int rc = remote_connect(argv[0], client); rc != 0) {
-        return rc;
-    }
     net::RemoteGraph g;
-    if (const Status st = client.open(graph, g, 1); !st.ok()) {
-        std::fprintf(stderr, "open: %s\n", st.to_string().c_str());
-        return 1;
+    if (const int rc = remote_open(argv[0], graph, client, g, 1); rc != 0) {
+        return rc;
     }
     for (std::uint64_t step = first_step; step < max_steps; ++step) {
         const std::vector<Edge> batch = recover::torture_step_batch(
